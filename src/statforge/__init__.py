@@ -27,6 +27,7 @@ from .models import (
     bifurcation_sweep,
     draw_bare_noise,
     log_likelihood,
+    log_likelihood_fn,
     prior_for,
     sample_prior,
     simulate,

@@ -9,8 +9,12 @@ exp(-velocity * acceptance_rate) -- fast annealing while moves are easy,
 automatic slowdown as the population tightens.  The schedule constants are
 not dictated by theory; they are recorded in the run manifest.
 
-Per-particle RNG streams are derived from (seed, sweep, particle), so results
-do not depend on evaluation order.
+Per-particle RNG streams are derived from (seed, purpose, sweep, particle), so
+results do not depend on evaluation order.  A Philox stream is fixed by its
+(key, counter), so each sweep builds one Philox per purpose with
+``models.row_streams`` and moves its counter from particle to particle; the
+draws are bit-identical to constructing ``stream(seed, purpose, sweep,
+particle)`` afresh for every particle.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from .models import (
     PriorSpec,
     Trajectory,
     prior_for,
+    row_streams,
     sample_prior,
     simulate_batch,
     stream,
@@ -167,10 +172,11 @@ def _model_stat_sim(model_id: str, prior: PriorSpec, stats_fn, seed: int,
 
     def sim(thetas: np.ndarray, sweep: int, particles: np.ndarray) -> np.ndarray:
         noise = np.empty((thetas.shape[0], n_steps, c))
-        for row, pid in enumerate(particles):
-            g = stream(seed, NOISE_TAG, sweep, int(pid))
-            noise[row] = g.random((n_steps, c)) if model_id == "dynamo" \
-                else g.standard_normal((n_steps, c))
+        for row, g in enumerate(row_streams(particles, seed, NOISE_TAG, sweep)):
+            if model_id == "dynamo":
+                g.random(out=noise[row])
+            else:
+                g.standard_normal(out=noise[row])
         x = simulate_batch(model_id, thetas, noise, x0=prior.x0)
         return stats_fn(x, prior.x0)
 
@@ -183,9 +189,16 @@ def sabc_core(stat_sim, prior: PriorSpec, s_obs: np.ndarray, std: Standardizer,
 
     ``stat_sim(thetas, sweep, particle_ids)`` must return one statistics row
     per theta, using RNG streams derived from (seed, sweep, particle).
+
+    Particle i's proposal in a sweep is drawn from ``stream(cfg.seed,
+    PROPOSAL_TAG, sweep, i)``: a standard-normal step, then the uniform of
+    its accept test.  The streams of one sweep come from one reused Philox
+    (``models.row_streams``), which gives the same bits as a fresh stream
+    per particle.  The last sweep may be cut short to stay within the
+    budget; stagnation is flagged only when a sweep that was not cut short
+    accepts nothing.
     """
     pop = cfg.population
-    p = prior.dim
     rng_init = stream(cfg.seed, _INIT_SWEEP)
     thetas = sample_prior(prior, rng_init, size=pop)
     stats = stat_sim(thetas, _INIT_SWEEP, np.arange(pop))
@@ -200,16 +213,17 @@ def sabc_core(stat_sim, prior: PriorSpec, s_obs: np.ndarray, std: Standardizer,
         sweep += 1
         spread = np.std(thetas, axis=0)
         scale = np.maximum(cfg.proposal_scale * spread, 1e-12 * prior.ranges)
-        props = np.empty_like(thetas)
+        z = np.empty_like(thetas)
         u = np.empty(pop)
-        for i in range(pop):
-            g = stream(cfg.seed, PROPOSAL_TAG, sweep, i)
-            props[i] = thetas[i] + g.standard_normal(p) * scale
+        for i, g in enumerate(row_streams(range(pop), cfg.seed, PROPOSAL_TAG, sweep)):
+            g.standard_normal(out=z[i])
             u[i] = g.random()
+        props = thetas + z * scale
         inbox = np.all((props >= prior.lower) & (props <= prior.upper), axis=1)
         candidates = np.flatnonzero(inbox)
         room = cfg.budget - sims_used
-        if candidates.size > room:
+        cut_short = candidates.size > room
+        if cut_short:
             candidates = candidates[:room]
         n_acc = 0
         if candidates.size:
@@ -227,7 +241,7 @@ def sabc_core(stat_sim, prior: PriorSpec, s_obs: np.ndarray, std: Standardizer,
         acceptance_trace.append(rate)
         tol *= float(np.exp(-cfg.velocity * rate))
         tolerance_trace.append(tol)
-        if n_acc == 0:
+        if n_acc == 0 and not cut_short:
             warnings.warn("SABC stagnated: zero acceptances over a full sweep",
                           RuntimeWarning)
             stagnated = True

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .models import PriorSpec, Trajectory, log_likelihood, prior_for, stream
+from .models import PriorSpec, Trajectory, log_likelihood_fn, prior_for, stream
 from .samples import SampleSet
 
 
@@ -59,11 +59,10 @@ def metropolis_run(model_id_or_loglik, prior: PriorSpec | None,
     else:
         model_id = model_id_or_loglik
         prior = prior or prior_for(model_id)
-
-        def loglik(theta):
-            return log_likelihood(observation, theta, model_id)
+        loglik = log_likelihood_fn(observation, model_id)
 
     p = prior.dim
+    lower, upper = prior.lower, prior.upper
     rng = stream(cfg.seed, 0xBEEF)
     burn = int(cfg.chain_length * cfg.burn_in_frac)
     base_scale = (cfg.proposal_scales if cfg.proposal_scales is not None
@@ -80,12 +79,13 @@ def metropolis_run(model_id_or_loglik, prior: PriorSpec | None,
             raise RuntimeError("could not find a starting point with finite likelihood")
 
     log_factor = 0.0
+    step_factor = np.exp(log_factor)
     kept = []
     window_acc = 0
     acc_post = 0
     for t in range(cfg.chain_length):
-        prop = theta + rng.standard_normal(p) * base_scale * np.exp(log_factor)
-        if np.all(prop >= prior.lower) and np.all(prop <= prior.upper):
+        prop = theta + rng.standard_normal(p) * base_scale * step_factor
+        if (prop >= lower).all() and (prop <= upper).all():
             llp = loglik(prop)
             if metropolis_accept(llp - ll, rng.random()):
                 theta, ll = prop, llp
@@ -95,6 +95,7 @@ def metropolis_run(model_id_or_loglik, prior: PriorSpec | None,
         if t < burn and (t + 1) % cfg.adapt_interval == 0:
             rate = window_acc / cfg.adapt_interval
             log_factor = float(np.clip(log_factor + (rate - cfg.target_accept), -8.0, 8.0))
+            step_factor = np.exp(log_factor)
             window_acc = 0
         elif t == burn - 1:
             window_acc = 0

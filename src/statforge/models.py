@@ -163,6 +163,19 @@ def _theta_values(theta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _STREAM_KEY_SALT = 0x9E3779B97F4A7C15
+_U64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _stream_key_counter(seed: int, path) -> tuple[np.ndarray, np.ndarray]:
+    """Philox (key, counter) of the stream at (seed, *path)."""
+    if len(path) > 3:
+        raise ValueError("at most 3 path components")
+    counter = np.zeros(4, dtype=np.uint64)
+    for i, part in enumerate(path):
+        counter[i + 1] = np.uint64(int(part) & _U64)
+    key = np.array([np.uint64(int(seed) & _U64), np.uint64(_STREAM_KEY_SALT)],
+                   dtype=np.uint64)
+    return key, counter
 
 
 def stream(seed: int, *path: int) -> np.random.Generator:
@@ -171,14 +184,30 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     Parallel callers derive their streams from integer path components
     (e.g. sweep and particle index) instead of sharing one generator.
     """
-    if len(path) > 3:
-        raise ValueError("at most 3 path components")
-    counter = np.zeros(4, dtype=np.uint64)
-    for i, part in enumerate(path):
-        counter[i + 1] = np.uint64(int(part) & 0xFFFFFFFFFFFFFFFF)
-    key = np.array([np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF),
-                    np.uint64(_STREAM_KEY_SALT)], dtype=np.uint64)
+    key, counter = _stream_key_counter(seed, path)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def row_streams(rows, seed: int, *prefix: int):
+    """Yield, for each id in ``rows``, a generator equal to ``stream(seed, *prefix, row)``.
+
+    A Philox stream is fixed by its (key, counter) alone, so one Philox is
+    built per call and, for each row, its counter is set to the row's and
+    its output buffer emptied; the draws are bit-identical to a fresh
+    ``stream``.  The same generator object is yielded every time: it is
+    valid only until the next row is requested, so draw from it before
+    advancing the iterator and do not keep it.
+    """
+    key, counter = _stream_key_counter(seed, (*prefix, 0))
+    bitgen = np.random.Philox(key=key, counter=counter)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state          # counter as built, empty output buffer
+    row_counter = fresh["state"]["counter"]
+    slot = len(prefix) + 1
+    for row in rows:
+        row_counter[slot] = int(row) & _U64
+        bitgen.state = fresh
+        yield gen
 
 
 @dataclass
@@ -361,34 +390,38 @@ def _guard_batch(cur: np.ndarray, n: int):
 # Exact transition densities and likelihood
 # ---------------------------------------------------------------------------
 
-def transition_density_nlar1(x_next, x, theta):
-    """Gaussian one-step density N(alpha*f(x), sigma^2) at x_next."""
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def _nlar1_density(x_next, f_prev, theta):
+    """Gaussian density N(alpha*f_prev, sigma^2) at x_next, given f_prev = f(x)."""
     alpha, sigma = _theta_values(theta)
     if sigma <= 0:
         raise InvalidParameterError("sigma must be > 0 for the transition density")
-    x_next = np.asarray(x_next, dtype=float)
-    mean = alpha * f_nlar1(x)
+    mean = alpha * f_prev
     z = (x_next - mean) / sigma
-    out = np.exp(-0.5 * z * z) / (sigma * np.sqrt(2.0 * np.pi))
+    return np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
+
+
+def transition_density_nlar1(x_next, x, theta):
+    """Gaussian one-step density N(alpha*f(x), sigma^2) at x_next."""
+    out = _nlar1_density(np.asarray(x_next, dtype=float), f_nlar1(x), theta)
     return out if out.ndim else float(out)
 
 
-def transition_density_dynamo(x_next, x, theta, f2: DynamoMap = DEFAULT_DYNAMO_MAP):
-    """Density of A*c + E with A ~ U[alpha, alpha+delta], E ~ U[0, eps], c = f2(x).
-
-    The sum of two independent uniforms gives a trapezoid supported on
-    [alpha*c, alpha*c + delta*c + eps]: linear ramps of width min(delta*c, eps)
-    and a flat top of height 1/max(delta*c, eps).  Either width may vanish,
-    collapsing to a single uniform; both vanishing is a point mass and raises.
-    """
-    alpha, delta, eps_amp = _theta_values(theta)
-    if delta < 0 or eps_amp < 0:
-        raise InvalidParameterError("delta and eps must be >= 0")
-    x_next = np.asarray(x_next, dtype=float)
+def _dynamo_regressor(x, f2: DynamoMap) -> np.ndarray:
+    """c = f2(x), checked nonnegative and clipped at 0."""
     c = np.asarray(f2(x), dtype=float)
     if np.any(c < -1e-12):
         raise InvalidParameterError("f2(x) must be nonnegative")
-    c = np.maximum(c, 0.0)
+    return np.maximum(c, 0.0)
+
+
+def _dynamo_density(x_next, c, theta):
+    """Trapezoid density of A*c + E at x_next, given the regressor c = f2(x)."""
+    alpha, delta, eps_amp = _theta_values(theta)
+    if delta < 0 or eps_amp < 0:
+        raise InvalidParameterError("delta and eps must be >= 0")
     w1 = delta * c          # width of the multiplicative part
     w2 = eps_amp            # width of the additive part
     if np.isscalar(w1) or w1.ndim == 0:
@@ -411,40 +444,52 @@ def transition_density_dynamo(x_next, x, theta, f2: DynamoMap = DEFAULT_DYNAMO_M
     np.divide(t, lo * hi, out=out, where=ramp_up)
     np.divide(1.0, hi, out=out, where=flat)
     np.divide(total - t, lo * hi, out=out, where=ramp_dn)
+    return out
+
+
+def transition_density_dynamo(x_next, x, theta, f2: DynamoMap = DEFAULT_DYNAMO_MAP):
+    """Density of A*c + E with A ~ U[alpha, alpha+delta], E ~ U[0, eps], c = f2(x).
+
+    The sum of two independent uniforms gives a trapezoid supported on
+    [alpha*c, alpha*c + delta*c + eps]: linear ramps of width min(delta*c, eps)
+    and a flat top of height 1/max(delta*c, eps).  Either width may vanish,
+    collapsing to a single uniform; both vanishing is a point mass and raises.
+    """
+    out = _dynamo_density(np.asarray(x_next, dtype=float), _dynamo_regressor(x, f2),
+                          theta)
     return out if out.ndim else float(out)
+
+
+def log_likelihood_fn(traj: Trajectory, model_id: str,
+                      f2: DynamoMap = DEFAULT_DYNAMO_MAP):
+    """theta -> exact trajectory log-likelihood, -inf when any transition factor is 0.
+
+    The data terms (the lagged states and the regressor f(x_{n-1}), or the
+    clipped f2(x_{n-1}) for dynamo) are computed once here, not per theta;
+    the arithmetic per theta is that of the transition densities.
+    """
+    lagged = traj.lagged()
+    if model_id == "nlar1":
+        density, regressor = _nlar1_density, f_nlar1(lagged)
+    elif model_id == "dynamo":
+        density, regressor = _dynamo_density, _dynamo_regressor(lagged, f2)
+    else:
+        raise ValueError(f"unknown model id {model_id!r}")
+    x_next = traj.x
+
+    def loglik(theta) -> float:
+        dens = density(x_next, regressor, theta)    # 1-D, as traj.x is
+        if (dens <= 0.0).any():
+            return float("-inf")
+        return float(np.log(dens).sum())
+
+    return loglik
 
 
 def log_likelihood(traj: Trajectory, theta, model_id: str,
                    f2: DynamoMap = DEFAULT_DYNAMO_MAP) -> float:
     """Exact trajectory log-likelihood; -inf when any transition factor is 0."""
-    lagged = traj.lagged()
-    if model_id == "nlar1":
-        dens = transition_density_nlar1(traj.x, lagged, theta)
-    elif model_id == "dynamo":
-        dens = transition_density_dynamo(traj.x, lagged, theta, f2=f2)
-    else:
-        raise ValueError(f"unknown model id {model_id!r}")
-    dens = np.atleast_1d(dens)
-    if np.any(dens <= 0.0):
-        return float("-inf")
-    return float(np.sum(np.log(dens)))
-
-
-def log_likelihood_nlar1_fast(traj: Trajectory):
-    """Closure alpha, sigma -> log-likelihood with the data sums precomputed."""
-    f_prev = f_nlar1(traj.lagged())
-    n = traj.n_steps
-    sxx = float(np.dot(traj.x, traj.x))
-    sxf = float(np.dot(traj.x, f_prev))
-    sff = float(np.dot(f_prev, f_prev))
-
-    def loglik(alpha: float, sigma: float) -> float:
-        if sigma <= 0:
-            raise InvalidParameterError("sigma must be > 0")
-        rss = sxx - 2.0 * alpha * sxf + alpha * alpha * sff
-        return -0.5 * n * np.log(2.0 * np.pi * sigma * sigma) - rss / (2.0 * sigma * sigma)
-
-    return loglik
+    return log_likelihood_fn(traj, model_id, f2)(theta)
 
 
 # ---------------------------------------------------------------------------

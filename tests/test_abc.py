@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from statforge.abcsampler import (
+    NOISE_TAG,
+    PROPOSAL_TAG,
     AbcConfig,
     DistanceRecord,
     Standardizer,
+    _model_stat_sim,
     distance,
     fit_standardizer,
     rejection_abc,
@@ -21,6 +26,9 @@ from statforge.models import (
     NLAR1_PRIOR,
     PriorSpec,
     draw_bare_noise,
+    prior_for,
+    sample_prior,
+    simulate_batch,
     simulate_nlar1,
     stream,
 )
@@ -156,6 +164,90 @@ class TestSabcHarness:
         keep = np.argsort(d)[:200]
         w1 = wasserstein_1d(sabc_sample.draws[:, 0], thetas[keep, 0])
         assert w1 / HARNESS_PRIOR.ranges[0] < 0.05
+
+
+class TestStagnationFlag:
+    """Zero acceptances flag stagnation only in a sweep the budget did not cut short."""
+
+    POP = 20
+    S_OBS = np.array([0.0])
+    STD = Standardizer(center=np.zeros(1), scale=np.ones(1), m=0, seed=0)
+
+    def run(self, budget):
+        # the initial population sits at distance 1; every later proposal
+        # lands at distance 1e6 and is always rejected
+        sizes = []
+
+        def stat_sim(thetas, sweep, particles):
+            sizes.append(len(particles))
+            return np.full((thetas.shape[0], 1), 1.0 if sweep == 0 else 1e6)
+
+        cfg = AbcConfig(population=self.POP, budget=budget, seed=3)
+        sample, record = sabc_core(stat_sim, HARNESS_PRIOR, self.S_OBS, self.STD, cfg)
+        return sample.manifest, record, sizes
+
+    def test_cut_short_final_sweep_not_flagged(self):
+        # room for one simulation after the initial population: sweep 1 has
+        # more in-box proposals than that and is cut short
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            man, record, sizes = self.run(budget=self.POP + 1)
+        assert sizes == [self.POP, 1]
+        assert man["sims_used"] == self.POP + 1
+        assert record.acceptance_trace.tolist() == [0.0]
+        assert man["stagnated"] is False
+
+    def test_full_sweep_flagged(self):
+        with pytest.warns(RuntimeWarning, match="stagnated"):
+            man, record, sizes = self.run(budget=100 * self.POP)
+        assert len(sizes) == 2
+        assert man["stagnated"] is True
+        assert man["sweeps"] == 1
+
+
+class TestProposalStreams:
+    def test_first_sweep_matches_per_particle_streams(self):
+        # reference: the proposal of particle i in sweep 1 drawn from its own
+        # fresh stream(seed, PROPOSAL_TAG, 1, i)
+        seed, pop = 37, 50
+        seen = {}
+
+        def stat_sim(thetas, sweep, particles):
+            seen[sweep] = (thetas.copy(), np.array(particles))
+            return thetas.copy()
+
+        cfg = AbcConfig(population=pop, budget=2 * pop, seed=seed)
+        std = Standardizer(center=np.zeros(1), scale=np.ones(1), m=0, seed=0)
+        sabc_core(stat_sim, HARNESS_PRIOR, np.array([4.0]), std, cfg)
+        init = seen[0][0]
+        assert np.array_equal(init, sample_prior(HARNESS_PRIOR, stream(seed, 0), size=pop))
+        scale = np.maximum(cfg.proposal_scale * np.std(init, axis=0),
+                           1e-12 * HARNESS_PRIOR.ranges)
+        want = np.array([init[i] + stream(seed, PROPOSAL_TAG, 1, i).standard_normal(1) * scale
+                         for i in range(pop)])
+        props, particles = seen[1]
+        inbox = np.flatnonzero((want >= HARNESS_PRIOR.lower).all(axis=1)
+                               & (want <= HARNESS_PRIOR.upper).all(axis=1))
+        assert np.array_equal(particles, inbox)
+        assert np.array_equal(props, want[particles])
+
+
+class TestModelStatSim:
+    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
+    def test_noise_matches_per_particle_streams(self, model_id):
+        # ascending, non-contiguous particle ids, as in-box candidates are
+        prior = prior_for(model_id)
+        particles = np.array([0, 2, 3, 7, 11, 40])
+        thetas = sample_prior(prior, stream(8, 1), size=particles.size)
+        seed, sweep, n = 29, 4, 60
+        sim = _model_stat_sim(model_id, prior, lambda x, x0: x, seed, n)
+        noise = []
+        for pid in particles:
+            g = stream(seed, NOISE_TAG, sweep, int(pid))
+            noise.append(g.random((n, 2)) if model_id == "dynamo"
+                         else g.standard_normal((n, 1)))
+        want = simulate_batch(model_id, thetas, np.array(noise), x0=prior.x0)
+        assert np.array_equal(sim(thetas, sweep, particles), want)
 
 
 class TestRejectionAbc:

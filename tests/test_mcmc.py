@@ -7,6 +7,7 @@ from statforge.models import (
     NLAR1_PRIOR,
     PriorSpec,
     draw_bare_noise,
+    log_likelihood,
     simulate_dynamo,
     simulate_nlar1,
     stream,
@@ -109,6 +110,18 @@ class TestBenchmarkModels:
         se = np.sqrt(batch_means_se(a.draws) ** 2 + batch_means_se(b.draws) ** 2)
         diff = np.abs(a.draws.mean(axis=0) - b.draws.mean(axis=0))
         assert np.all(diff < 3 * se)
+
+    def test_model_id_matches_per_call_likelihood(self):
+        # the chain built on the precomputed likelihood must be bit-identical
+        # to one that evaluates the likelihood afresh at every step
+        obs = simulate_nlar1((5.3, 0.015), draw_bare_noise("nlar1", 100, 34))
+        cfg = McmcConfig(chain_length=4000, seed=9)
+        a, rate_a = metropolis_run("nlar1", None, obs, cfg)
+        b, rate_b = metropolis_run(lambda th: log_likelihood(obs, th, "nlar1"),
+                                   NLAR1_PRIOR, None, cfg)
+        assert np.array_equal(a.draws, b.draws)
+        assert rate_a == rate_b
+        assert a.manifest["frozen_log_factor"] == b.manifest["frozen_log_factor"]
 
 
 class TestConfig:

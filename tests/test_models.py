@@ -12,6 +12,7 @@ from statforge.models import (
     DEFAULT_DYNAMO_MAP,
     DYNAMO_PRIOR,
     NLAR1_PRIOR,
+    TRUE_THETA,
     BareNoise,
     PriorSpec,
     Trajectory,
@@ -22,7 +23,9 @@ from statforge.models import (
     f_nlar1,
     load_trajectory_batch,
     log_likelihood,
+    log_likelihood_fn,
     prior_for,
+    row_streams,
     sample_prior,
     save_trajectory_batch,
     simulate,
@@ -233,6 +236,96 @@ class TestLogLikelihood:
                 noise = draw_bare_noise(model_id, 150, seed)
                 traj = simulate(model_id, theta, noise)
                 assert np.isfinite(log_likelihood(traj, theta, model_id))
+
+
+def reference_log_likelihood(traj, theta, model_id):
+    """Per-call form: transition densities from the raw lagged states."""
+    density = {"nlar1": transition_density_nlar1,
+               "dynamo": transition_density_dynamo}[model_id]
+    dens = np.atleast_1d(density(traj.x, traj.lagged(), theta))
+    if np.any(dens <= 0.0):
+        return float("-inf")
+    return float(np.sum(np.log(dens)))
+
+
+class TestLogLikelihoodFn:
+    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
+    def test_bit_identical_to_per_call_form(self, model_id):
+        prior = prior_for(model_id)
+        traj = simulate(model_id, TRUE_THETA[model_id],
+                        draw_bare_noise(model_id, 150, 41))
+        rng = stream(42, 0)
+        # half from the prior box, half near the generating theta, where
+        # the dynamo likelihood is mostly finite
+        near = TRUE_THETA[model_id] * (1.0 + 0.05 * (rng.random((100, prior.dim)) - 0.5))
+        thetas = np.vstack([sample_prior(prior, rng, size=100), near])
+        loglik = log_likelihood_fn(traj, model_id)
+        values = [loglik(theta) for theta in thetas]
+        assert sum(np.isfinite(values)) >= 20
+        for theta, value in zip(thetas, values):
+            assert value == log_likelihood(traj, theta, model_id)
+            assert value == reference_log_likelihood(traj, theta, model_id)
+
+    def test_dynamo_support_violation(self):
+        traj = simulate_dynamo((1.11, 0.15, 0.08), draw_bare_noise("dynamo", 100, 12))
+        assert log_likelihood_fn(traj, "dynamo")((1.11, 0.001, 0.001)) == -np.inf
+
+    def test_nonpositive_sigma_raises(self):
+        traj = simulate_nlar1((5.3, 0.015), draw_bare_noise("nlar1", 50, 13))
+        loglik = log_likelihood_fn(traj, "nlar1")
+        for sigma in (0.0, -0.01):
+            with pytest.raises(InvalidParameterError):
+                loglik((5.3, sigma))
+
+    def test_unknown_model(self):
+        with pytest.raises(ValueError):
+            log_likelihood_fn(Trajectory(x=np.zeros(3), x0=0.0), "nope")
+
+
+class TestRowStreams:
+    """``row_streams`` must reproduce ``stream(seed, tag, sweep, row)`` exactly,
+    drawn the way the SABC sampler draws from it (in place, via ``out=``)."""
+
+    # ascending and not contiguous, as the sampler's in-box candidates are
+    ROWS = np.array([0, 1, 4, 5, 9, 63, 64, 999, 2**40])
+
+    def test_proposal_draws(self):
+        p = 3
+        z = np.empty((self.ROWS.size, p))
+        u = np.empty(self.ROWS.size)
+        for i, g in enumerate(row_streams(self.ROWS, 17, 1, 5)):
+            g.standard_normal(out=z[i])
+            u[i] = g.random()
+        for i, row in enumerate(self.ROWS):
+            g = stream(17, 1, 5, row)
+            assert np.array_equal(z[i], g.standard_normal(p))
+            assert u[i] == g.random()
+
+    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
+    def test_noise_draws(self, model_id):
+        n, c = 200, {"nlar1": 1, "dynamo": 2}[model_id]
+        noise = np.empty((self.ROWS.size, n, c))
+        for i, g in enumerate(row_streams(self.ROWS, 23, 2, 7)):
+            if model_id == "dynamo":
+                g.random(out=noise[i])
+            else:
+                g.standard_normal(out=noise[i])
+        for i, row in enumerate(self.ROWS):
+            g = stream(23, 2, 7, row)
+            want = g.random((n, c)) if model_id == "dynamo" else g.standard_normal((n, c))
+            assert np.array_equal(noise[i], want)
+
+    def test_row_after_partial_draw_starts_fresh(self):
+        # a row drawn from mid-block must not leak buffered output into the next
+        streams = row_streams([3, 4], 5, 1, 2)
+        next(streams).random(3)
+        assert np.array_equal(next(streams).random(4), stream(5, 1, 2, 4).random(4))
+
+    def test_too_many_path_components(self):
+        with pytest.raises(ValueError):
+            stream(1, 2, 3, 4, 5)
+        with pytest.raises(ValueError):
+            next(row_streams([0], 1, 2, 3, 4))
 
 
 class TestPrior:
