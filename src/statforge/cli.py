@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -87,13 +89,45 @@ def _require_weights(path):
     return load_weights(path)
 
 
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get = getattr(handle, name.format("get"), None)
+            set_ = getattr(handle, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
 def _limit_threads(n: int | None):
+    """Run the block with numpy's OpenBLAS at ``n`` threads, then restore it.
+
+    Yields the manifest record ``{"requested", "applied", "in_effect"}``.
+    Without ``n`` (or with n <= 0) nothing changes; ``applied`` is False
+    then, and also when numpy does not bundle OpenBLAS.  ``in_effect`` is
+    the count OpenBLAS reports inside the block (None if unknown).
+    """
+    blas = _openblas()
+    record = {"requested": n, "applied": False,
+              "in_effect": None if blas is None else blas[0]()}
+    if blas is None or not n or n <= 0:
+        yield record
+        return
+    get, set_ = blas
+    previous = get()
+    set_(n)
+    record.update(applied=True, in_effect=get())
     try:
-        import threadpoolctl
-    except ImportError:  # pragma: no cover - soft dependency
-        return None
-    limit = n if n and n > 0 else os.cpu_count()
-    return threadpoolctl.threadpool_limits(limits=limit)
+        yield record
+    finally:
+        set_(previous)
 
 
 def _f2_from(args, cfg):
@@ -201,13 +235,10 @@ def cmd_train_enca(args) -> int:
         c_x=args.c_x,
         log_every=cfgmod.config_get(cfg, "enca", "log_every", int, 100),
     )
-    with_threads = _limit_threads(1)  # optimizer path is single-threaded
-    try:
+    with _limit_threads(1) as blas_threads:  # optimizer path is single-threaded
         result = enca_mod.train_enca(args.model, train_cfg, prior=prior)
-    finally:
-        if with_threads is not None:
-            with_threads.unregister()
-    _write_training_outputs(out, result, args, started, command="train-enca")
+    _write_training_outputs(out, result, args, started, command="train-enca",
+                            blas_threads=blas_threads)
     return 0
 
 
@@ -228,17 +259,15 @@ def cmd_train_inca(args) -> int:
         n_steps=args.n_steps or cfgmod.config_get(cfg, "model", "n_steps", int, 200),
         log_every=cfgmod.config_get(cfg, "inca", "log_every", int, 100),
     )
-    with_threads = _limit_threads(1)
-    try:
+    with _limit_threads(1) as blas_threads:
         result = inca_mod.train_inca(args.model, train_cfg, prior=prior)
-    finally:
-        if with_threads is not None:
-            with_threads.unregister()
-    _write_training_outputs(out, result, args, started, command="train-inca")
+    _write_training_outputs(out, result, args, started, command="train-inca",
+                            blas_threads=blas_threads)
     return 0
 
 
-def _write_training_outputs(out: Path, result, args, started, command: str):
+def _write_training_outputs(out: Path, result, args, started, command: str,
+                            blas_threads: dict):
     cfg_snapshot = dict(result.meta)
     f2 = cfgmod.dynamo_map_from_config(_load_cfg(args))
     cfg_snapshot["f2_constants"] = f2.constants()
@@ -252,7 +281,8 @@ def _write_training_outputs(out: Path, result, args, started, command: str):
         out, command=command, config=cfg_snapshot,
         seeds={"seed": result.meta["config"]["seed"]},
         extra={"weights_sha256": cfgmod.sha256_of_file(weights_path),
-               "final_loss": result.log[-1]["loss"] if result.log else None},
+               "final_loss": result.log[-1]["loss"] if result.log else None,
+               "blas_threads": blas_threads},
         started=started)
 
 
@@ -309,8 +339,7 @@ def cmd_abc(args) -> int:
         seed=seed,
         n_steps=observation.n_steps,
     )
-    limits = _limit_threads(args.threads)
-    try:
+    with _limit_threads(args.threads) as blas_threads:
         if args.sampler == "sabc":
             sample, record = abcsampler.sabc_run(args.model, prior, stats_fn,
                                                  observation, run_cfg)
@@ -319,9 +348,6 @@ def cmd_abc(args) -> int:
             sample, record = abcsampler.rejection_abc(
                 args.model, prior, stats_fn, observation, n_sims=run_cfg.budget,
                 keep_fraction=keep, seed=seed, n_steps=observation.n_steps)
-    finally:
-        if limits is not None:
-            limits.unregister()
     (out / "samples.csv").write_text(sample_set_to_csv(sample))
     trace_lines = ["sweep,acceptance,tolerance"]
     for i, tol in enumerate(record.tolerance_trace):
@@ -335,7 +361,8 @@ def cmd_abc(args) -> int:
                 "abc": sample.manifest, "prior": {"lower": prior.lower.tolist(),
                                                   "upper": prior.upper.tolist(),
                                                   "x0": prior.x0}},
-        seeds={"seed": seed}, input_hashes=input_hashes, started=started)
+        seeds={"seed": seed}, input_hashes=input_hashes,
+        extra={"blas_threads": blas_threads}, started=started)
     return 0
 
 
@@ -551,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--population", type=int, default=None)
     p.add_argument("--velocity", type=float, default=None)
     p.add_argument("--sampler", choices=("sabc", "rejection"), default="sabc")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="BLAS threads for the run (default: leave BLAS as it is)")
     common(p)
     p.set_defaults(func=cmd_abc)
 
@@ -578,7 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("smoke", help="end-to-end micro pipeline (< 5 min)")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="BLAS threads for the run (default: leave BLAS as it is)")
     common(p)
     p.set_defaults(func=cmd_smoke)
 

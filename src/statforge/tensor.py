@@ -243,18 +243,32 @@ def sigmoid(a):
     return _node(out_data, (a,), bwd)
 
 
+_TINY = np.finfo(float).tiny
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
 def _sigmoid(x):
-    # exact identity, overflow-safe, one vectorized tanh call
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    # exact identity, overflow-safe, one vectorized tanh call.  It rounds to
+    # exactly 0 below x ~ -37 and to exactly 1 above x ~ 37; there exp(x),
+    # floored at the smallest normal double, and the largest double under 1
+    # keep the output in the open interval.  Outputs inside (0, 1) stay as
+    # they are.
+    s = 0.5 * (1.0 + np.tanh(0.5 * x))
+    if (s == 0.0).any() or (s == 1.0).any():
+        s = np.where(s == 0.0, np.maximum(np.exp(np.minimum(x, 0.0)), _TINY),
+                     np.minimum(s, _BELOW_ONE))
+    return s
 
 
 def relu(a):
+    # np.maximum(-0.0, 0.0) is +0.0 here, as np.where(a > 0, a, 0.0) gives;
+    # a NaN input stays NaN (and the caller's finite check raises) instead
+    # of becoming 0.  The mask is needed only by the backward pass.
     a = astensor(a)
-    mask = a.data > 0
-    out_data = np.where(mask, a.data, 0.0)
+    out_data = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        _accum(a, g * mask)
+        _accum(a, g * (a.data > 0))
 
     return _node(out_data, (a,), bwd)
 
@@ -356,20 +370,34 @@ def _check_finite(x: np.ndarray, where: str):
         raise TrainingDivergedError(f"non-finite values in {where}")
 
 
+def _im2col(a: np.ndarray, k: int) -> np.ndarray:
+    """(..., L, C) -> (prod(...) * (L-k+1), k*C) matrix of k-step windows.
+
+    Row t of a trajectory is the contiguous run a[..., t:t+k, :], so its
+    columns are ordered k major, C minor -- the order ``np.tensordot`` gives
+    the same windows -- and the matrix costs a single copy.
+    """
+    length, chans = a.shape[-2:]
+    rows = sliding_window_view(a.reshape(-1, length * chans), k * chans, axis=-1)
+    return rows[:, ::chans].reshape(-1, k * chans)
+
+
 def conv1d_valid(x, kernel, bias=None):
     """Cross-correlation with no padding, stride 1.
 
     ``x`` is (..., L, C_in), ``kernel`` is (k, C_in, C_out); output is
-    (..., L-k+1, C_out).
+    (..., L-k+1, C_out).  Each product is one GEMM on an im2col matrix;
+    the operands, their layout and so the arithmetic are those of the
+    equivalent ``np.tensordot`` over sliding windows.
     """
     x, kernel = astensor(x), astensor(kernel)
-    k = kernel.data.shape[0]
+    k, c_in, c_out = kernel.data.shape
     length = x.data.shape[-2]
     if length < k:
         raise ValueError(f"input length {length} shorter than kernel {k}")
-    # windows: (..., L-k+1, C_in, k)
-    win = sliding_window_view(x.data, k, axis=-2)
-    out_data = np.tensordot(win, kernel.data, axes=((-1, -2), (0, 1)))
+    lead = x.data.shape[:-2]
+    out_data = np.dot(_im2col(x.data, k), kernel.data.reshape(k * c_in, c_out))
+    out_data = out_data.reshape(lead + (length - k + 1, c_out))
     if bias is not None:
         bias = astensor(bias)
         out_data = out_data + bias.data
@@ -377,6 +405,8 @@ def conv1d_valid(x, kernel, bias=None):
 
     def bwd(g):
         if kernel.requires_grad:
+            # windows: (..., L-k+1, C_in, k)
+            win = sliding_window_view(x.data, k, axis=-2)
             batch_axes = tuple(range(g.ndim - 1))
             # dK[k, ci, co] = sum over batch,t of win[..., t, ci, k] g[..., t, co]
             dk = np.tensordot(win, g, axes=(batch_axes[:-1] + (g.ndim - 2,),
@@ -386,10 +416,10 @@ def conv1d_valid(x, kernel, bias=None):
             pad = [(0, 0)] * g.ndim
             pad[-2] = (k - 1, k - 1)
             gp = np.pad(g, pad)
-            gwin = sliding_window_view(gp, k, axis=-2)  # (..., L, C_out, k)
-            krev = kernel.data[::-1]  # (k, C_in, C_out)
-            dx = np.tensordot(gwin, krev, axes=((-1, -2), (0, 2)))
-            _accum(x, dx)
+            # krev[j, ci, co] = kernel[k-1-j, ci, co], as rows (j, co)
+            krev = np.ascontiguousarray(kernel.data[::-1].transpose(0, 2, 1))
+            dx = np.dot(_im2col(gp, k), krev.reshape(k * c_out, c_in))
+            _accum(x, dx.reshape(lead + (length, c_in)))
         if bias is not None and bias.requires_grad:
             _accum(bias, _unbroadcast(g, bias.data.shape))
 
@@ -398,17 +428,21 @@ def conv1d_valid(x, kernel, bias=None):
 
 
 def maxpool1d(x, window: int = 2):
-    """Windowed max with stride = window; odd trailing element is dropped."""
+    """Windowed max with stride = window; odd trailing element is dropped.
+
+    The gradient goes to the first maximal element of each window; its
+    argmax is taken in the backward pass, so inference never computes it.
+    """
     x = astensor(x)
     length = x.data.shape[-2]
     n_out = length // window
     trimmed = x.data[..., : n_out * window, :]
     shaped = trimmed.reshape(trimmed.shape[:-2] + (n_out, window, trimmed.shape[-1]))
-    arg = shaped.argmax(axis=-2)  # first maximal index wins
-    out_data = np.take_along_axis(shaped, arg[..., None, :], axis=-2)[..., 0, :]
+    out_data = shaped.max(axis=-2)
     _check_finite(out_data, "maxpool1d")
 
     def bwd(g):
+        arg = shaped.argmax(axis=-2)  # first maximal index wins
         gfull = np.zeros_like(shaped)
         np.put_along_axis(gfull, arg[..., None, :], g[..., None, :], axis=-2)
         gx = np.zeros_like(x.data)

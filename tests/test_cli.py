@@ -135,6 +135,61 @@ class TestTrainAndEncode:
         assert "--weights" in capsys.readouterr().err
 
 
+class TestBlasThreads:
+    """--threads and the training commands cap numpy's OpenBLAS for the run,
+    restore it afterwards, and record what was in effect."""
+
+    @pytest.fixture
+    def blas(self):
+        from statforge.cli import _openblas
+
+        blas = _openblas()
+        if blas is None:
+            pytest.skip("numpy does not bundle OpenBLAS here")
+        get, set_ = blas
+        before = get()
+        set_(2)
+        yield blas
+        set_(before)
+
+    def test_training_runs_and_records_one_thread(self, tmp_path, monkeypatch, blas):
+        from statforge import inca
+
+        seen = []
+        train = inca.train_inca
+
+        def spy(*args, **kwargs):
+            seen.append(blas[0]())
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(inca, "train_inca", spy)
+        out = tmp_path / "inca"
+        assert run(["train-inca", "--model", "nlar1", "--q", "3", "--steps", "2",
+                    "--theta-batch", "2", "--n-replicas", "2", "--n-steps", "40",
+                    "--seed", "2", "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["extra"]["blas_threads"] == {
+            "requested": 1, "applied": True, "in_effect": 1}
+        assert seen == [1]
+        assert blas[0]() == 2  # restored
+
+    def test_abc_threads_flag(self, tmp_path, obs_dir, blas):
+        records = {}
+        for label, flag in (("set", ["--threads", "1"]), ("unset", [])):
+            out = tmp_path / label
+            assert run(["abc", "--model", "nlar1",
+                        "--observation", obs_dir / "trajectory.csv",
+                        "--stats", "suffstats", "--budget", "200",
+                        "--population", "20", "--seed", "4", "--out", out]
+                       + flag) == 0
+            records[label] = json.loads(
+                (out / "manifest.json").read_text())["extra"]["blas_threads"]
+        assert records["set"] == {"requested": 1, "applied": True, "in_effect": 1}
+        assert records["unset"] == {"requested": None, "applied": False,
+                                    "in_effect": 2}
+        assert blas[0]() == 2
+
+
 class TestAbcSuffstats:
     def test_suffstats_sampler(self, tmp_path, obs_dir):
         out = tmp_path / "abc_suff"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import fd_gradient, max_grad_error
 
 import statforge.tensor as T
+from statforge.encoder import ENCODER_LAYERS, encode_batch, init_encoder
 from statforge.errors import TrainingDivergedError
 
 
@@ -220,6 +222,189 @@ class TestCompositeNetwork:
             return T.tsum(T.power(h, 2.0))
 
         check_op(loss, [x, k, kb, w, b])
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the conv, max-pool and ReLU formulas the layers were first written
+# with (tensordot over sliding windows, argmax plus take_along_axis,
+# np.where).  The layers build their arrays differently but must give the
+# same bytes, forward and backward.
+# ---------------------------------------------------------------------------
+
+def oracle_conv1d(x, kernel, bias):
+    win = sliding_window_view(x, kernel.shape[0], axis=-2)  # (..., L-k+1, C_in, k)
+    return np.tensordot(win, kernel, axes=((-1, -2), (0, 1))) + bias
+
+
+def oracle_conv1d_grads(x, kernel, g):
+    """(dx, dK) of a valid conv1d for upstream gradient g."""
+    k = kernel.shape[0]
+    win = sliding_window_view(x, k, axis=-2)
+    batch_axes = tuple(range(g.ndim - 1))
+    dk = np.tensordot(win, g, axes=(batch_axes[:-1] + (g.ndim - 2,), batch_axes))
+    pad = [(0, 0)] * g.ndim
+    pad[-2] = (k - 1, k - 1)
+    gwin = sliding_window_view(np.pad(g, pad), k, axis=-2)  # (..., L, C_out, k)
+    dx = np.tensordot(gwin, kernel[::-1], axes=((-1, -2), (0, 2)))
+    return dx, dk.transpose(1, 0, 2)
+
+
+def _pool_windows(x, window):
+    n_out = x.shape[-2] // window
+    trimmed = x[..., : n_out * window, :]
+    shaped = trimmed.reshape(trimmed.shape[:-2] + (n_out, window, x.shape[-1]))
+    return trimmed, shaped, shaped.argmax(axis=-2)  # ties: first index
+
+
+def oracle_maxpool(x, window=2):
+    _, shaped, arg = _pool_windows(x, window)
+    return np.take_along_axis(shaped, arg[..., None, :], axis=-2)[..., 0, :]
+
+
+def oracle_maxpool_grad(x, g, window=2):
+    trimmed, shaped, arg = _pool_windows(x, window)
+    gfull = np.zeros_like(shaped)
+    np.put_along_axis(gfull, arg[..., None, :], g[..., None, :], axis=-2)
+    dx = np.zeros_like(x)
+    dx[..., : trimmed.shape[-2], :] = gfull.reshape(trimmed.shape)
+    return dx
+
+
+def oracle_relu(x):
+    return np.where(x > 0, x, 0.0)
+
+
+def oracle_encode(x, weights, prefix="encoder."):
+    """The encoder stack composed from the oracle layers."""
+    out = x
+    for name, _k, _filters, act in ENCODER_LAYERS:
+        if name == "maxpool":
+            out = oracle_maxpool(out)
+        elif name == "globpool":
+            out = out.mean(axis=-2)
+        else:
+            out = oracle_conv1d(out, weights[prefix + name + ".kernel"].data,
+                                weights[prefix + name + ".bias"].data)
+            if act == "relu":
+                out = oracle_relu(out)
+    return out
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def forward_backward(op, arrays, g):
+    """Layer output and the gradients of every input for upstream gradient g."""
+    tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*tensors)
+    T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    return out.data, [t.grad for t in tensors]
+
+
+class TestLayerOracles:
+    @pytest.mark.parametrize("lead", [(), (7,), (12, 5)], ids=["2d", "3d", "4d"])
+    @pytest.mark.parametrize("c_in", [1, 16])
+    @pytest.mark.parametrize("c_out", [3, 16, 32])
+    def test_conv1d_bytes(self, lead, c_in, c_out):
+        rng = np.random.default_rng(c_in * 100 + c_out + len(lead))
+        x = rng.standard_normal(lead + (50, c_in))
+        kernel = rng.standard_normal((3, c_in, c_out))
+        bias = rng.standard_normal(c_out)
+        g = rng.standard_normal(lead + (48, c_out))
+        out, (dx, dk, _) = forward_backward(T.conv1d_valid, [x, kernel, bias], g)
+        ref_dx, ref_dk = oracle_conv1d_grads(x, kernel, g)
+        assert same_bytes(out, oracle_conv1d(x, kernel, bias))
+        assert same_bytes(dx, ref_dx)
+        assert same_bytes(dk, ref_dk)
+
+    def test_conv1d_single_trajectory_bytes(self, rng):
+        # one window row per trajectory: the im2col matrix could alias x
+        for lead in [(1,), (1, 1)]:
+            x = rng.standard_normal(lead + (3, 16))
+            kernel = rng.standard_normal((3, 16, 32))
+            bias = rng.standard_normal(32)
+            g = rng.standard_normal(lead + (1, 32))
+            out, (dx, dk, _) = forward_backward(T.conv1d_valid, [x, kernel, bias], g)
+            ref = (oracle_conv1d(x, kernel, bias),) + oracle_conv1d_grads(x, kernel, g)
+            assert all(same_bytes(a, b) for a, b in zip((out, dx, dk), ref))
+
+    def test_conv1d_noncontiguous_input_bytes(self, rng):
+        x = rng.standard_normal((6, 40, 32))[:, ::-1, ::2]
+        kernel = rng.standard_normal((3, 16, 16))
+        bias = rng.standard_normal(16)
+        g = rng.standard_normal((6, 38, 16))
+        assert not x.flags.c_contiguous
+        out, (dx, dk, _) = forward_backward(T.conv1d_valid, [x, kernel, bias], g)
+        ref = (oracle_conv1d(x, kernel, bias),) + oracle_conv1d_grads(x, kernel, g)
+        assert all(same_bytes(a, b) for a, b in zip((out, dx, dk), ref))
+
+    @pytest.mark.parametrize("length", [9, 17, 98])
+    def test_maxpool_bytes_with_ties(self, length):
+        # small integers make exact ties in most windows; odd lengths drop
+        # the trailing element
+        rng = np.random.default_rng(length)
+        x = rng.integers(-2, 3, (4, length, 16)).astype(float)
+        g = rng.standard_normal((4, length // 2, 16))
+        out, (dx,) = forward_backward(T.maxpool1d, [x], g)
+        assert same_bytes(out, oracle_maxpool(x))
+        assert same_bytes(dx, oracle_maxpool_grad(x, g))
+
+    def test_maxpool_tie_gradient_goes_to_first_index(self):
+        x = np.array([[[2.0], [2.0], [-1.0], [-1.0], [5.0]]])
+        out, (dx,) = forward_backward(T.maxpool1d, [x], np.array([[[3.0], [4.0]]]))
+        assert np.array_equal(out, [[[2.0], [-1.0]]])
+        assert np.array_equal(dx[0, :, 0], [3.0, 0.0, 4.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("width", [1, 16])
+    def test_relu_negative_zero_is_positive_zero(self, width):
+        # every position of every length up to 33, so both the vector body
+        # and the scalar tail of np.maximum are covered
+        for n in range(1, 34):
+            for pos in range(n):
+                a = np.full((n, width), 1.5)
+                a[pos] = -0.0
+                out = T.relu(T.Tensor(a)).data
+                assert not np.any(np.signbit(out[pos])), (n, pos)
+                assert same_bytes(out, oracle_relu(a))
+
+    def test_relu_bytes(self, rng):
+        for n in range(1, 34):
+            x = rng.standard_normal((n, 16))
+            x[rng.random((n, 16)) < 0.2] = 0.0
+            x[rng.random((n, 16)) < 0.2] = -0.0
+            g = rng.standard_normal((n, 16))
+            out, (dx,) = forward_backward(T.relu, [x], g)
+            assert same_bytes(out, oracle_relu(x))
+            # gradients accumulate into zeros, which turns -0.0 into +0.0
+            assert same_bytes(dx, np.zeros_like(g) + g * (x > 0))
+
+    def test_encode_batch_bytes(self):
+        rng = np.random.default_rng(4)
+        store = init_encoder(3, rng)
+        x = rng.standard_normal((1000, 100))
+        s = encode_batch(x, store.params)
+        assert same_bytes(s, oracle_encode(x[..., None], store.params))
+
+
+class TestSigmoidOpenInterval:
+    def test_saturated_inputs_stay_inside(self):
+        x = np.array([-800.0, -40.0, 40.0, 800.0])
+        out = T.sigmoid(T.Tensor(x)).data
+        assert np.all(out > 0.0) and np.all(out < 1.0)
+        assert out[0] == np.finfo(float).tiny
+        assert out[1] == np.exp(-40.0)
+        assert out[2] == out[3] == np.nextafter(1.0, 0.0)
+
+    @pytest.mark.parametrize("x", [-800.0, -40.0, 40.0, 800.0])
+    def test_saturated_scalar(self, x):
+        out = float(T._sigmoid(np.float64(x)))
+        assert 0.0 < out < 1.0
+
+    def test_interior_unchanged(self):
+        x = np.linspace(-36.0, 36.0, 100_001)
+        assert same_bytes(T._sigmoid(x), 0.5 * (1.0 + np.tanh(0.5 * x)))
 
 
 class TestAdam:

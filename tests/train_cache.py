@@ -1,9 +1,11 @@
 """On-disk cache for the desk-scale training runs of the acceptance suite.
 
 Training at the acceptance configurations takes tens of minutes; the weights
-are a pure function of (architecture, model, config, package version), so
-they are cached under tests/.acceptance_cache keyed by a config hash.  Delete
-the directory to force retraining.
+are a pure function of (architecture, model, config, training code), so they
+are cached under tests/.acceptance_cache keyed by a hash of the config, the
+package version and the source of the modules that training runs.  Editing
+any of those modules therefore retrains instead of reusing stale weights.
+Delete the directory to force retraining.
 """
 
 import hashlib
@@ -11,16 +13,24 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from statforge import __version__
+import statforge
 from statforge.enca import EncaConfig, train_enca
 from statforge.inca import IncaConfig, train_inca
 from statforge.tensor import load_weights, save_weights
 
 CACHE_DIR = Path(__file__).resolve().parent / ".acceptance_cache"
+TRAINING_SOURCES = ("tensor.py", "encoder.py", "enca.py", "inca.py", "models.py")
+
+
+def _source_digests() -> list:
+    pkg = Path(statforge.__file__).resolve().parent
+    return [hashlib.sha256((pkg / name).read_bytes()).hexdigest()
+            for name in TRAINING_SOURCES]
 
 
 def _key(kind: str, model_id: str, cfg) -> str:
-    blob = json.dumps([kind, model_id, asdict(cfg), __version__], sort_keys=True)
+    blob = json.dumps([kind, model_id, asdict(cfg), statforge.__version__,
+                       _source_digests()], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
