@@ -21,7 +21,6 @@ from .errors import (
 from .models import (
     BareNoise,
     DynamoMap,
-    ParameterVector,
     PriorSpec,
     Trajectory,
     bifurcation_sweep,
@@ -39,4 +38,4 @@ from .models import (
     transition_density_nlar1,
 )
 from .samples import SampleSet
-from .suffstats import SufficientStats, mle_alpha, mle_sigma2, order_param, suff_stats
+from .suffstats import SufficientStats, suff_stats

@@ -73,12 +73,17 @@ def _parse_theta(text: str) -> np.ndarray:
         raise UsageError(f"--theta: expected comma-separated floats, got {text!r}") from err
 
 
-def _read_observation(path, model_id: str) -> Trajectory:
-    if path is None:
-        raise UsageError("--observation is required")
+def _read_trajectory(path, flag: str) -> Trajectory:
+    """Trajectory CSV named by ``flag``; a missing or malformed file is a UsageError."""
     if not Path(path).exists():
-        raise UsageError(f"--observation: file not found: {path}")
-    return trajectory_from_csv(Path(path).read_text())
+        raise UsageError(f"{flag}: file not found: {path}")
+    try:
+        traj = trajectory_from_csv(Path(path).read_text())
+    except ValueError as err:
+        raise UsageError(f"{flag}: {path}: {err}") from err
+    if traj.n_steps == 0:
+        raise UsageError(f"{flag}: {path}: the trajectory has no steps after x0")
+    return traj
 
 
 def _require_weights(path):
@@ -130,11 +135,6 @@ def _limit_threads(n: int | None):
         set_(previous)
 
 
-def _f2_from(args, cfg):
-    f2 = cfgmod.dynamo_map_from_config(cfg)
-    return f2
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
     theta = _parse_theta(args.theta) if args.theta else TRUE_THETA[model_id]
     n_steps = args.n_steps or cfgmod.config_get(cfg, "model", "n_steps", int, 200)
     x0 = args.x0 if args.x0 is not None else prior.x0
-    f2 = _f2_from(args, cfg)
+    f2 = cfgmod.dynamo_map_from_config(cfg)
     if args.format == "csv":
         noise = draw_bare_noise(model_id, n_steps, seed)
         traj = simulate(model_id, theta, noise, x0=x0, n_steps=n_steps, f2=f2)
@@ -175,7 +175,7 @@ def cmd_bifurcation(args) -> int:
     started = time.perf_counter()
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    f2 = _f2_from(args, cfg)
+    f2 = cfgmod.dynamo_map_from_config(cfg)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.points)
     x0_list = [float(v) for v in args.x0.split(",")] if args.x0 else [None]
     rows = []
@@ -207,9 +207,7 @@ def cmd_suffstats(args) -> int:
     rows = []
     hashes = {}
     for path in args.input:
-        if not Path(path).exists():
-            raise UsageError(f"--input: file not found: {path}")
-        traj = trajectory_from_csv(Path(path).read_text())
+        traj = _read_trajectory(path, "--input")
         rows.append(stats_batch(traj.x[None, :], traj.x0)[0])
         hashes[str(path)] = cfgmod.sha256_of_file(path)
     (out / "suffstats.csv").write_text(stats_to_csv(np.array(rows)))
@@ -294,9 +292,7 @@ def cmd_encode(args) -> int:
     rows = []
     hashes = {str(args.weights): cfgmod.sha256_of_file(args.weights)}
     for path in args.input:
-        if not Path(path).exists():
-            raise UsageError(f"--input: file not found: {path}")
-        traj = trajectory_from_csv(Path(path).read_text())
+        traj = _read_trajectory(path, "--input")
         from .encoder import encode
 
         rows.append(encode(traj, weights))
@@ -317,7 +313,7 @@ def cmd_abc(args) -> int:
     out = _out_dir(args)
     seed = _global_seed(args)
     prior = cfgmod.prior_from_config(cfg, args.model)
-    observation = _read_observation(args.observation, args.model)
+    observation = _read_trajectory(args.observation, "--observation")
     input_hashes = {str(args.observation): cfgmod.sha256_of_file(args.observation)}
     if args.stats == "suffstats":
         if args.model != "nlar1":
@@ -372,7 +368,7 @@ def cmd_mcmc(args) -> int:
     out = _out_dir(args)
     seed = _global_seed(args)
     prior = cfgmod.prior_from_config(cfg, args.model)
-    observation = _read_observation(args.observation, args.model)
+    observation = _read_trajectory(args.observation, "--observation")
     run_cfg = mcmc_mod.McmcConfig(
         chain_length=args.chain_length or cfgmod.config_get(cfg, "mcmc", "chain_length", int, 200_000),
         burn_in_frac=cfgmod.config_get(cfg, "mcmc", "burn_in_frac", float, 0.25),

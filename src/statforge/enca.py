@@ -167,8 +167,8 @@ def training_losses(store, thetas, noise, x, c_x: float):
     return T.add(reg, rec), reg, rec
 
 
-def train_enca(model_id: str, cfg: EncaConfig, prior: PriorSpec | None = None,
-               progress=None) -> TrainResult:
+def train_enca(model_id: str, cfg: EncaConfig,
+               prior: PriorSpec | None = None) -> TrainResult:
     """On-the-fly training: fresh prior draws and noise every step.
 
     Single-threaded and bit-reproducible for a fixed seed.  Raises
@@ -218,6 +218,4 @@ def train_enca(model_id: str, cfg: EncaConfig, prior: PriorSpec | None = None,
             })
         if (step + 1) % cfg.checkpoint_every == 0:
             checkpoint = store.clone()
-        if progress is not None:
-            progress(step + 1, cfg.steps)
     return TrainResult(store=store, log=log, meta=meta)

@@ -13,8 +13,6 @@ it elementwise along an extra leading axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
@@ -33,41 +31,6 @@ ENCODER_LAYERS = (
 
 # shortest input surviving the stack: L=18 -> 16 -> 14 -> 7 -> 5 -> 3 -> 1
 MIN_INPUT_LENGTH = 18
-
-
-@dataclass
-class SummaryVector:
-    """q summary statistics; the first p are the parameter regressors."""
-
-    s: np.ndarray
-    p: int
-
-    def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-
-    @property
-    def q(self) -> int:
-        return self.s.shape[-1]
-
-    @property
-    def regressors(self) -> np.ndarray:
-        return self.s[..., : self.p]
-
-    @property
-    def auxiliaries(self) -> np.ndarray:
-        return self.s[..., self.p:]
-
-
-@dataclass
-class ReplicaSet:
-    """n independent realizations sharing one parameter vector."""
-
-    trajectories: list
-    theta: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.trajectories)
 
 
 def init_encoder(q: int, rng: np.random.Generator,
@@ -140,12 +103,8 @@ def encode(traj, weights) -> np.ndarray:
     return encode_batch(x[None, :], weights)[0]
 
 
-def encode_replicas(rs, weights) -> np.ndarray:
-    """Elementwise encoding of a replica set; returns (n, q), order preserved."""
-    if isinstance(rs, ReplicaSet):
-        x = np.stack([t.x for t in rs.trajectories])
-    else:
-        x = np.asarray(rs, dtype=float)
+def encode_replicas(x, weights) -> np.ndarray:
+    """Elementwise encoding of an (n, N) replica set; returns (n, q), order preserved."""
     return encode_batch(x, weights)
 
 

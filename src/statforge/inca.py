@@ -56,14 +56,6 @@ class IncaConfig:
 
 
 @dataclass
-class ReplicaWeights:
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-
-
-@dataclass
 class AggregatedEstimate:
     theta_hat: np.ndarray
 
@@ -123,8 +115,8 @@ def _canonical_order(stats: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def aggregate(stats, w, p: int) -> AggregatedEstimate:
     """Weighted replica average of the first p statistics, Σ w_j s_j / Σ w_j."""
-    stats = np.atleast_2d(np.asarray(getattr(stats, "s", stats), dtype=float))
-    w = np.asarray(getattr(w, "w", w), dtype=float)
+    stats = np.atleast_2d(np.asarray(stats, dtype=float))
+    w = np.asarray(w, dtype=float)
     order = _canonical_order(stats, w)
     ws = w[order]
     total = float(np.sum(ws))
@@ -136,7 +128,7 @@ def aggregate(stats, w, p: int) -> AggregatedEstimate:
 
 def inca_loss(stats, theta_hat, theta, normalize: bool = False) -> float:
     """Replica regression residuals plus aggregate residual (relative errors)."""
-    stats = np.atleast_2d(np.asarray(getattr(stats, "s", stats), dtype=float))
+    stats = np.atleast_2d(np.asarray(stats, dtype=float))
     theta_hat = np.asarray(getattr(theta_hat, "theta_hat", theta_hat), dtype=float)
     theta = np.asarray(theta, dtype=float)
     p = theta.shape[0]
@@ -173,8 +165,8 @@ def training_losses(store, thetas, x, p: int, normalize: bool = False):
     return T.add(term1, term2), term1, term2, theta_hat
 
 
-def train_inca(model_id: str, cfg: IncaConfig, prior: PriorSpec | None = None,
-               progress=None) -> IncaTrainResult:
+def train_inca(model_id: str, cfg: IncaConfig,
+               prior: PriorSpec | None = None) -> IncaTrainResult:
     """Per step: draw theta batch, simulate n replicas each, encode, aggregate."""
     prior = prior or prior_for(model_id)
     p = prior.dim
@@ -219,8 +211,6 @@ def train_inca(model_id: str, cfg: IncaConfig, prior: PriorSpec | None = None,
             })
         if (step + 1) % cfg.checkpoint_every == 0:
             checkpoint = store.clone()
-        if progress is not None:
-            progress(step + 1, cfg.steps)
     return IncaTrainResult(store=store, log=log, meta=meta)
 
 

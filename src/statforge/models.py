@@ -130,31 +130,7 @@ def noise_channels(model_id: str) -> int:
     return {"nlar1": 1, "dynamo": 2}[model_id]
 
 
-@dataclass
-class ParameterVector:
-    """Model parameters paired with the model they belong to."""
-
-    values: np.ndarray
-    model_id: str
-
-    def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        expected = prior_for(self.model_id).dim
-        if self.values.shape != (expected,):
-            raise InvalidParameterError(
-                f"{self.model_id} expects {expected} parameters, got {self.values.shape}")
-
-    def check_in_prior(self, prior: PriorSpec | None = None):
-        prior = prior or prior_for(self.model_id)
-        if not prior.contains(self.values):
-            raise InvalidParameterError(
-                f"theta {self.values} outside prior box for {self.model_id}")
-        return self
-
-
 def _theta_values(theta) -> np.ndarray:
-    if isinstance(theta, ParameterVector):
-        return theta.values
     return np.atleast_1d(np.asarray(theta, dtype=float))
 
 
@@ -289,59 +265,40 @@ def _check_noise(noise: BareNoise, model_id: str, n_steps: int):
         raise ValueError(f"noise record too short: {noise.n_steps} < {n_steps}")
 
 
+def simulate(model_id: str, theta, noise: BareNoise, x0: float | None = None,
+             n_steps: int | None = None, f2: DynamoMap = DEFAULT_DYNAMO_MAP) -> Trajectory:
+    """One trajectory: row 0 of ``simulate_batch`` on the first ``n_steps`` noise rows.
+
+    Deterministic in (theta, noise).  ``x0`` defaults to the prior's initial
+    condition and ``n_steps`` to the length of the noise record.
+    """
+    prior = prior_for(model_id)
+    theta = _theta_values(theta)
+    if theta.shape != (prior.dim,):
+        raise InvalidParameterError(
+            f"{model_id} expects {prior.dim} parameters, got shape {theta.shape}")
+    if (theta[1:] < 0).any():
+        raise InvalidParameterError(f"{' and '.join(prior.names[1:])} must be >= 0")
+    if x0 is None:
+        x0 = prior.x0
+    if n_steps is None:
+        n_steps = noise.n_steps
+    _check_noise(noise, model_id, n_steps)
+    x = simulate_batch(model_id, theta[None], noise.channels[None, :n_steps], x0=x0, f2=f2)
+    return Trajectory(x=x[0], x0=float(x0))
+
+
 def simulate_nlar1(theta, noise: BareNoise, x0: float | None = None,
                    n_steps: int | None = None) -> Trajectory:
     """Iterate x' = alpha*f(x) + sigma*eps from x0. Deterministic in (theta, noise)."""
-    alpha, sigma = _theta_values(theta)
-    if sigma < 0:
-        raise InvalidParameterError("sigma must be >= 0")
-    if x0 is None:
-        x0 = NLAR1_PRIOR.x0
-    if n_steps is None:
-        n_steps = noise.n_steps
-    _check_noise(noise, "nlar1", n_steps)
-    eps = noise.channels[:n_steps, 0]
-    x = np.empty(n_steps)
-    cur = float(x0)
-    for n in range(n_steps):
-        cur = alpha * cur * cur * (1.0 - cur) + sigma * eps[n]
-        if not np.isfinite(cur) or abs(cur) > DIVERGENCE_GUARD:
-            raise SimulationDivergedError(n + 1, cur)
-        x[n] = cur
-    return Trajectory(x=x, x0=float(x0))
+    return simulate("nlar1", theta, noise, x0=x0, n_steps=n_steps)
 
 
 def simulate_dynamo(theta, noise: BareNoise, x0: float | None = None,
                     n_steps: int | None = None,
                     f2: DynamoMap = DEFAULT_DYNAMO_MAP) -> Trajectory:
     """Iterate x' = (alpha + delta*u)*f2(x) + eps*v from x0."""
-    alpha, delta, eps_amp = _theta_values(theta)
-    if delta < 0 or eps_amp < 0:
-        raise InvalidParameterError("delta and eps must be >= 0")
-    if x0 is None:
-        x0 = DYNAMO_PRIOR.x0
-    if n_steps is None:
-        n_steps = noise.n_steps
-    _check_noise(noise, "dynamo", n_steps)
-    u = noise.channels[:n_steps, 0]
-    v = noise.channels[:n_steps, 1]
-    x = np.empty(n_steps)
-    cur = float(x0)
-    for n in range(n_steps):
-        cur = (alpha + delta * u[n]) * float(f2(cur)) + eps_amp * v[n]
-        if not np.isfinite(cur) or abs(cur) > DIVERGENCE_GUARD:
-            raise SimulationDivergedError(n + 1, cur)
-        x[n] = cur
-    return Trajectory(x=x, x0=float(x0))
-
-
-def simulate(model_id: str, theta, noise: BareNoise, x0: float | None = None,
-             n_steps: int | None = None, f2: DynamoMap = DEFAULT_DYNAMO_MAP) -> Trajectory:
-    if model_id == "nlar1":
-        return simulate_nlar1(theta, noise, x0=x0, n_steps=n_steps)
-    if model_id == "dynamo":
-        return simulate_dynamo(theta, noise, x0=x0, n_steps=n_steps, f2=f2)
-    raise ValueError(f"unknown model id {model_id!r}")
+    return simulate("dynamo", theta, noise, x0=x0, n_steps=n_steps, f2=f2)
 
 
 def simulate_batch(model_id: str, thetas: np.ndarray, noise: np.ndarray,
@@ -350,7 +307,7 @@ def simulate_batch(model_id: str, thetas: np.ndarray, noise: np.ndarray,
     """Vectorized simulation of B trajectories.
 
     ``thetas`` is (B, p), ``noise`` is (B, N, c) of bare channels; returns the
-    (B, N) state array.  Bit-identical to running ``simulate`` per row.
+    (B, N) state array.  The single-trajectory ``simulate`` is this with B=1.
     """
     thetas = np.asarray(thetas, dtype=float)
     noise = np.asarray(noise, dtype=float)
@@ -591,12 +548,20 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
+    """Parse ``trajectory_to_csv`` output; a malformed text raises ValueError."""
     rows = list(csv.reader(io.StringIO(text)))
-    if rows[0] != ["step", "x"]:
-        raise ValueError("not a trajectory CSV")
-    x0 = float(rows[1][1])
-    x = np.array([float(r[1]) for r in rows[2:]])
-    return Trajectory(x=x, x0=x0)
+    if not rows or rows[0] != ["step", "x"]:
+        raise ValueError("not a trajectory CSV: the first row must be 'step,x'")
+    if len(rows) < 2:
+        raise ValueError("trajectory CSV has no step-0 row carrying x0")
+    values = []
+    for i, row in enumerate(rows[1:], start=2):
+        try:
+            values.append(float(row[1]))
+        except (IndexError, ValueError):
+            raise ValueError(f"trajectory CSV row {i}: expected 'step,x' with a "
+                             f"numeric x, got {row!r}") from None
+    return Trajectory(x=np.array(values[1:]), x0=values[0])
 
 
 def save_trajectory_batch(path, x: np.ndarray, x0: float):

@@ -5,6 +5,9 @@ with f applied to the lagged states, alpha_hat is the least-squares
 autocorrelation estimator, sigma2_hat the mean squared residual, and order
 the mean of f^2, an order parameter that tells the two attractors apart.
 
+``stats_batch`` is the one implementation, over a (B, N) batch; ``suff_stats``
+is its B=1 row for a single trajectory.
+
 Note on naming: the residual statistic estimates sigma^2 (it is a mean of
 squared residuals) even though it plays the role of a scale statistic, so it
 is exported here as ``sigma2_hat``; its square root is provided alongside for
@@ -37,47 +40,6 @@ class SufficientStats:
         return np.array([self.alpha_hat, self.sigma2_hat, self.order])
 
 
-def _regressors(traj: Trajectory) -> np.ndarray:
-    # sums run over n = 1..N with x_0 seeding the regressor sequence
-    return f_nlar1(traj.lagged())
-
-
-def mle_alpha(traj: Trajectory) -> float:
-    """Least-squares slope of x_n on f(x_{n-1})."""
-    f_prev = _regressors(traj)
-    denom = float(np.dot(f_prev, f_prev))
-    if denom == 0.0:
-        raise UndefinedStatisticError("sum of squared regressors is zero")
-    return float(np.dot(traj.x, f_prev)) / denom
-
-
-def mle_sigma2(traj: Trajectory) -> float:
-    """Mean squared residual around the fitted map; estimates sigma^2."""
-    f_prev = _regressors(traj)
-    a_hat = mle_alpha(traj)
-    r = traj.x - a_hat * f_prev
-    return float(np.dot(r, r)) / traj.n_steps
-
-
-def order_param(traj: Trajectory) -> float:
-    """Mean of f(x_{n-1})^2; near zero in the zero attractor."""
-    f_prev = _regressors(traj)
-    return float(np.dot(f_prev, f_prev)) / traj.n_steps
-
-
-def suff_stats(traj: Trajectory) -> SufficientStats:
-    f_prev = _regressors(traj)
-    n = traj.n_steps
-    sff = float(np.dot(f_prev, f_prev))
-    if sff == 0.0:
-        raise UndefinedStatisticError("sum of squared regressors is zero")
-    a_hat = float(np.dot(traj.x, f_prev)) / sff
-    r = traj.x - a_hat * f_prev
-    return SufficientStats(alpha_hat=a_hat,
-                           sigma2_hat=float(np.dot(r, r)) / n,
-                           order=sff / n)
-
-
 def stats_batch(x: np.ndarray, x0: float) -> np.ndarray:
     """(B, 3) statistic rows for a (B, N) trajectory batch."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -91,6 +53,12 @@ def stats_batch(x: np.ndarray, x0: float) -> np.ndarray:
     r = x - a_hat[:, None] * f_prev
     s2 = np.einsum("ij,ij->i", r, r) / n
     return np.column_stack([a_hat, s2, sff / n])
+
+
+def suff_stats(traj: Trajectory) -> SufficientStats:
+    """Statistics of one trajectory: the single row of ``stats_batch``."""
+    a_hat, s2, order = stats_batch(traj.x, traj.x0)[0]
+    return SufficientStats(alpha_hat=float(a_hat), sigma2_hat=float(s2), order=float(order))
 
 
 def stats_to_csv(rows) -> str:

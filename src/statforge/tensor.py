@@ -3,9 +3,10 @@
 Covers exactly the layer zoo the two autoencoders need: valid 1-D
 convolution, max/global-average pooling, dense layers with a small set of
 activations, a fused bidirectional LSTM with hand-rolled backpropagation
-through time, and bias-corrected Adam.  Everything is CPU numpy in 64-bit;
-forward passes are deterministic and single-threaded training is
-bit-reproducible.
+through time, and bias-corrected Adam.  Everything is CPU numpy in 64-bit,
+with one implementation per layer (the LSTM cell loops included, which have
+no compiled variant); forward passes are deterministic and single-threaded
+training is bit-reproducible.
 
 Graphs are built only while some input requires gradients, so the same ops
 double as a plain (graph-free) inference path.
@@ -14,7 +15,6 @@ double as a plain (graph-free) inference path.
 from __future__ import annotations
 
 import json
-import math
 import struct
 
 import numpy as np
@@ -22,12 +22,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TrainingDivergedError
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - plain numpy fallback
-    _HAVE_NUMBA = False
+# The LSTM cells run in numpy only; kept as a constant because the benchmark
+# records it as provenance.
+_HAVE_NUMBA = False
 
 _WEIGHTS_MAGIC = b"SFWT0001"
 
@@ -481,73 +478,13 @@ def dense(x, weights, bias, activation: str = "linear"):
 # fused bidirectional LSTM
 # ---------------------------------------------------------------------------
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _lstm_cells_fwd(xw, wh, h_seq, c_seq, gates, tanh_c):
-        n_steps, d, batch, g4 = xw.shape
-        hidden = g4 // 4
-        for t in range(n_steps):
-            for k in range(d):
-                z = xw[t, k] + np.dot(h_seq[t, k], wh[k])
-                for bi in range(batch):
-                    for j in range(hidden):
-                        gi = 0.5 * (1.0 + math.tanh(0.5 * z[bi, j]))
-                        gf = 0.5 * (1.0 + math.tanh(0.5 * z[bi, hidden + j]))
-                        go = 0.5 * (1.0 + math.tanh(0.5 * z[bi, 2 * hidden + j]))
-                        gg = math.tanh(z[bi, 3 * hidden + j])
-                        c = gf * c_seq[t, k, bi, j] + gi * gg
-                        tc = math.tanh(c)
-                        gates[t, k, bi, j] = gi
-                        gates[t, k, bi, hidden + j] = gf
-                        gates[t, k, bi, 2 * hidden + j] = go
-                        gates[t, k, bi, 3 * hidden + j] = gg
-                        c_seq[t + 1, k, bi, j] = c
-                        tanh_c[t, k, bi, j] = tc
-                        h_seq[t + 1, k, bi, j] = go * tc
-
-    @numba.njit(cache=True)
-    def _lstm_cells_bwd(gates, tanh_c, c_seq, h_seq, wh, d_out, d_xw):
-        n_steps, d, batch, g4 = d_xw.shape
-        hidden = g4 // 4
-        d_wh = np.zeros_like(wh)
-        dh_next = np.zeros((d, batch, hidden))
-        dc_next = np.zeros((d, batch, hidden))
-        wh_t = np.zeros((d, g4, hidden))
-        for k in range(d):
-            wh_t[k] = wh[k].T.copy()
-        for t in range(n_steps - 1, -1, -1):
-            for k in range(d):
-                dz = d_xw[t, k]
-                for bi in range(batch):
-                    for j in range(hidden):
-                        gi = gates[t, k, bi, j]
-                        gf = gates[t, k, bi, hidden + j]
-                        go = gates[t, k, bi, 2 * hidden + j]
-                        gg = gates[t, k, bi, 3 * hidden + j]
-                        tc = tanh_c[t, k, bi, j]
-                        dh = d_out[t, k, bi, j] + dh_next[k, bi, j]
-                        do = dh * tc
-                        dc = dc_next[k, bi, j] + dh * go * (1.0 - tc * tc)
-                        dz[bi, j] = (dc * gg) * gi * (1.0 - gi)
-                        dz[bi, hidden + j] = (dc * c_seq[t, k, bi, j]) * gf * (1.0 - gf)
-                        dz[bi, 2 * hidden + j] = do * go * (1.0 - go)
-                        dz[bi, 3 * hidden + j] = (dc * gi) * (1.0 - gg * gg)
-                        dc_next[k, bi, j] = dc * gf
-                d_wh[k] += np.dot(h_seq[t, k].T.copy(), dz)
-                dh_next[k] = np.dot(dz, wh_t[k])
-        return d_wh
-
-
 def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
     """LSTM over stacked directions: x (D, B, T, C) with weights (D, C, 4H),
     (D, H, 4H), (D, 4H); returns (T, D, B, H) and a BPTT cache.
 
     All D directions advance together each time step.  Gate layout along the
     4H axis is (input, forget, output, cell-candidate) so the three sigmoid
-    gates form one contiguous block; initial states are zero.  The cell loop
-    runs through a numba kernel when available, with an identical-math numpy
-    fallback.
+    gates form one contiguous block; initial states are zero.
     """
     d, batch, n_steps, c_in = x.shape
     hidden = wh.shape[1]
@@ -559,28 +496,25 @@ def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
     c_seq = np.zeros((n_steps + 1, d, batch, hidden))
     gates = np.empty((n_steps, d, batch, 4 * hidden))
     tanh_c = np.empty((n_steps, d, batch, hidden))
-    if _HAVE_NUMBA:
-        _lstm_cells_fwd(xw, wh, h_seq, c_seq, gates, tanh_c)
-    else:
-        for t in range(n_steps):
-            z = xw[t]
-            z += h_seq[t] @ wh
-            gate = gates[t]
-            np.multiply(z[..., :h3], 0.5, out=gate[..., :h3])
-            np.tanh(gate[..., :h3], out=gate[..., :h3])
-            gate[..., :h3] += 1.0
-            gate[..., :h3] *= 0.5
-            np.tanh(z[..., h3:], out=gate[..., h3:])
-            i = gate[..., :hidden]
-            f = gate[..., hidden:2 * hidden]
-            o = gate[..., 2 * hidden:h3]
-            g = gate[..., h3:]
-            c = c_seq[t + 1]
-            np.multiply(f, c_seq[t], out=c)
-            c += i * g
-            tc = tanh_c[t]
-            np.tanh(c, out=tc)
-            np.multiply(o, tc, out=h_seq[t + 1])
+    for t in range(n_steps):
+        z = xw[t]
+        z += h_seq[t] @ wh
+        gate = gates[t]
+        np.multiply(z[..., :h3], 0.5, out=gate[..., :h3])
+        np.tanh(gate[..., :h3], out=gate[..., :h3])
+        gate[..., :h3] += 1.0
+        gate[..., :h3] *= 0.5
+        np.tanh(z[..., h3:], out=gate[..., h3:])
+        i = gate[..., :hidden]
+        f = gate[..., hidden:2 * hidden]
+        o = gate[..., 2 * hidden:h3]
+        g = gate[..., h3:]
+        c = c_seq[t + 1]
+        np.multiply(f, c_seq[t], out=c)
+        c += i * g
+        tc = tanh_c[t]
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_seq[t + 1])
     cache = (x, wx, wh, h_seq, c_seq, gates, tanh_c)
     return h_seq[1:], cache
 
@@ -592,31 +526,27 @@ def _lstm_backward(cache, d_out: np.ndarray):
     hidden = wh.shape[1]
     h3 = 3 * hidden
     d_xw = np.empty((n_steps, d, batch, 4 * hidden))
-    if _HAVE_NUMBA:
-        d_wh = _lstm_cells_bwd(gates, tanh_c, c_seq, h_seq, wh,
-                               np.ascontiguousarray(d_out), d_xw)
-    else:
-        d_wh = np.zeros_like(wh)
-        dh_next = np.zeros((d, batch, hidden))
-        dc_next = np.zeros((d, batch, hidden))
-        for t in range(n_steps - 1, -1, -1):
-            gate = gates[t]
-            i = gate[..., :hidden]
-            f = gate[..., hidden:2 * hidden]
-            o = gate[..., 2 * hidden:h3]
-            g = gate[..., h3:]
-            tc = tanh_c[t]
-            dh = d_out[t] + dh_next
-            do = dh * tc
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            dz = d_xw[t]
-            dz[..., :hidden] = (dc * g) * i * (1.0 - i)
-            dz[..., hidden:2 * hidden] = (dc * c_seq[t]) * f * (1.0 - f)
-            dz[..., 2 * hidden:h3] = do * o * (1.0 - o)
-            dz[..., h3:] = (dc * i) * (1.0 - g * g)
-            dc_next = dc * f
-            d_wh += h_seq[t].transpose(0, 2, 1) @ dz
-            dh_next = dz @ wh.transpose(0, 2, 1)
+    d_wh = np.zeros_like(wh)
+    dh_next = np.zeros((d, batch, hidden))
+    dc_next = np.zeros((d, batch, hidden))
+    for t in range(n_steps - 1, -1, -1):
+        gate = gates[t]
+        i = gate[..., :hidden]
+        f = gate[..., hidden:2 * hidden]
+        o = gate[..., 2 * hidden:h3]
+        g = gate[..., h3:]
+        tc = tanh_c[t]
+        dh = d_out[t] + dh_next
+        do = dh * tc
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dz = d_xw[t]
+        dz[..., :hidden] = (dc * g) * i * (1.0 - i)
+        dz[..., hidden:2 * hidden] = (dc * c_seq[t]) * f * (1.0 - f)
+        dz[..., 2 * hidden:h3] = do * o * (1.0 - o)
+        dz[..., h3:] = (dc * i) * (1.0 - g * g)
+        dc_next = dc * f
+        d_wh += h_seq[t].transpose(0, 2, 1) @ dz
+        dh_next = dz @ wh.transpose(0, 2, 1)
     d_xw_flat = np.ascontiguousarray(d_xw.transpose(1, 2, 0, 3)).reshape(
         d, batch * n_steps, 4 * hidden)
     x_flat = x.reshape(d, batch * n_steps, c_in)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from statforge.cli import main
+from statforge.encoder import init_encoder
 from statforge.models import trajectory_from_csv
 from statforge.samples import sample_set_from_csv
+from statforge.tensor import save_weights
 
 
 def run(argv):
@@ -133,6 +135,28 @@ class TestTrainAndEncode:
                     "--out", tmp_path / "enc2"])
         assert code == 2
         assert "--weights" in capsys.readouterr().err
+
+
+class TestMalformedTrajectoryCsv:
+    """A trajectory CSV that cannot be parsed is a usage error (exit 2), not a crash."""
+
+    FILES = {"empty": "", "header_only": "step,x\n",
+             "non_numeric": "step,x\n0,0.25\n1,0.3\n2,oops\n",
+             "x0_only": "step,x\n0,0.25\n"}
+
+    @pytest.mark.parametrize("shape", sorted(FILES))
+    def test_abc_and_encode_exit_2(self, tmp_path, capsys, shape):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(self.FILES[shape])
+        weights = tmp_path / "w.sfwt"
+        save_weights(weights, init_encoder(3, np.random.default_rng(0)))
+        assert run(["abc", "--model", "nlar1", "--stats", "suffstats",
+                    "--observation", bad, "--out", tmp_path / "abc"]) == 2
+        assert run(["encode", "--weights", weights, "--input", bad,
+                    "--out", tmp_path / "enc"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("usage error: --observation") == 1
+        assert err.count("usage error: --input") == 1
 
 
 class TestBlasThreads:

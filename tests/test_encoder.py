@@ -3,8 +3,6 @@ import pytest
 
 import statforge.tensor as T
 from statforge.encoder import (
-    ReplicaSet,
-    SummaryVector,
     count_parameters,
     encode,
     encode_batch,
@@ -77,8 +75,7 @@ class TestEncode:
 class TestReplicas:
     def test_single_replica_matches_encode(self, weights):
         traj = simulate_nlar1((5.2, 0.02), draw_bare_noise("nlar1", 80, 9))
-        rs = ReplicaSet(trajectories=[traj], theta=np.array([5.2, 0.02]))
-        out = encode_replicas(rs, weights)
+        out = encode_replicas(traj.x[None], weights)
         assert out.shape == (1, 3)
         assert np.array_equal(out[0], encode(traj, weights))
 
@@ -140,11 +137,3 @@ class TestExport:
         for name in store.names():
             assert store[name].grad is not None
             assert np.any(store[name].grad != 0.0) or name.endswith("bias")
-
-
-class TestSummaryVector:
-    def test_split(self):
-        sv = SummaryVector(s=np.array([1.0, 2.0, 3.0]), p=2)
-        assert sv.q == 3
-        assert np.array_equal(sv.regressors, [1.0, 2.0])
-        assert np.array_equal(sv.auxiliaries, [3.0])

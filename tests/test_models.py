@@ -10,6 +10,7 @@ from statforge.errors import (
 )
 from statforge.models import (
     DEFAULT_DYNAMO_MAP,
+    DIVERGENCE_GUARD,
     DYNAMO_PRIOR,
     NLAR1_PRIOR,
     TRUE_THETA,
@@ -68,13 +69,6 @@ class TestSimulateNlar1:
         b = simulate_nlar1((5.3, 0.015), draw_bare_noise("nlar1", 200, 42), x0=0.25)
         assert np.array_equal(a.x, b.x)
 
-    def test_batch_matches_scalar(self):
-        noise = draw_bare_noise("nlar1", 100, 3)
-        traj = simulate_nlar1((5.0, 0.02), noise, x0=0.25)
-        batch = simulate_batch("nlar1", np.array([[5.0, 0.02]]),
-                               noise.channels[None], x0=0.25)
-        assert np.array_equal(batch[0], traj.x)
-
     def test_negative_sigma_rejected(self):
         noise = draw_bare_noise("nlar1", 10, 0)
         with pytest.raises(InvalidParameterError):
@@ -113,12 +107,97 @@ class TestSimulateDynamo:
         traj = simulate_dynamo((1.2, 0.2, 0.08), noise, x0=0.0, n_steps=1)
         assert 0.0 <= traj.x[0] <= 0.08
 
-    def test_batch_matches_scalar(self):
-        noise = draw_bare_noise("dynamo", 80, 7)
-        traj = simulate_dynamo((1.11, 0.15, 0.08), noise, x0=1.0)
-        batch = simulate_batch("dynamo", np.array([[1.11, 0.15, 0.08]]),
-                               noise.channels[None], x0=1.0)
-        assert np.array_equal(batch[0], traj.x)
+    def test_negative_delta_or_eps_rejected(self):
+        noise = draw_bare_noise("dynamo", 10, 0)
+        for theta in ((1.11, -0.01, 0.08), (1.11, 0.15, -0.01)):
+            with pytest.raises(InvalidParameterError):
+                simulate_dynamo(theta, noise)
+
+
+def reference_nlar1(theta, noise, x0=None, n_steps=None):
+    """Per-step scalar loop of the nlar1 map: the oracle for ``simulate_nlar1``."""
+    alpha, sigma = theta
+    x0 = NLAR1_PRIOR.x0 if x0 is None else x0
+    n_steps = noise.n_steps if n_steps is None else n_steps
+    eps = noise.channels[:n_steps, 0]
+    x = np.empty(n_steps)
+    cur = float(x0)
+    for n in range(n_steps):
+        cur = alpha * cur * cur * (1.0 - cur) + sigma * eps[n]
+        if not np.isfinite(cur) or abs(cur) > DIVERGENCE_GUARD:
+            raise SimulationDivergedError(n + 1, cur)
+        x[n] = cur
+    return x
+
+
+def reference_dynamo(theta, noise, x0=None, n_steps=None, f2=DEFAULT_DYNAMO_MAP):
+    """Per-step scalar loop of the dynamo map: the oracle for ``simulate_dynamo``."""
+    alpha, delta, eps_amp = theta
+    x0 = DYNAMO_PRIOR.x0 if x0 is None else x0
+    n_steps = noise.n_steps if n_steps is None else n_steps
+    u = noise.channels[:n_steps, 0]
+    v = noise.channels[:n_steps, 1]
+    x = np.empty(n_steps)
+    cur = float(x0)
+    for n in range(n_steps):
+        cur = (alpha + delta * u[n]) * float(f2(cur)) + eps_amp * v[n]
+        if not np.isfinite(cur) or abs(cur) > DIVERGENCE_GUARD:
+            raise SimulationDivergedError(n + 1, cur)
+        x[n] = cur
+    return x
+
+
+class TestSimulatorOracle:
+    """The single-trajectory simulators are B=1 rows of ``simulate_batch``;
+    they must give the bytes of the per-step scalar loops above."""
+
+    CASES = {"nlar1": (simulate_nlar1, reference_nlar1, 0.6),
+             "dynamo": (simulate_dynamo, reference_dynamo, 0.3)}
+
+    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
+    def test_prior_draws_match_oracle(self, model_id):
+        sim, ref, other_x0 = self.CASES[model_id]
+        thetas = sample_prior(prior_for(model_id), stream(61, 0), size=60)
+        for k, theta in enumerate(thetas):
+            noise = draw_bare_noise(model_id, 120, 700 + k)
+            for kwargs in ({}, {"n_steps": 45}, {"x0": other_x0}):
+                got = sim(theta, noise, **kwargs)
+                want = ref(theta, noise, **kwargs)
+                assert got.x.tobytes() == want.tobytes(), (k, kwargs)
+                assert got.x0 == kwargs.get("x0", prior_for(model_id).x0)
+
+    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
+    def test_divergence_step_matches_oracle(self, model_id):
+        sim, ref, _ = self.CASES[model_id]
+        theta = TRUE_THETA[model_id]
+        for bad_step in (0, 7, 39):
+            channels = draw_bare_noise(model_id, 50, bad_step).channels.copy()
+            channels[bad_step, -1] = np.inf
+            noise = BareNoise(channels=channels, seed=0)
+            with pytest.raises(SimulationDivergedError) as got:
+                sim(theta, noise)
+            with pytest.raises(SimulationDivergedError) as want:
+                ref(theta, noise)
+            assert got.value.step == want.value.step == bad_step + 1
+        if model_id == "nlar1":
+            # escaping orbits: the guard trips a few steps after the start
+            for x0 in (-2.0, -200.0):
+                noise = draw_bare_noise(model_id, 50, 1)
+                with pytest.raises(SimulationDivergedError) as got:
+                    sim(theta, noise, x0=x0)
+                with pytest.raises(SimulationDivergedError) as want:
+                    ref(theta, noise, x0=x0)
+                assert got.value.step == want.value.step
+                assert got.value.value == want.value.value
+
+    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
+    def test_wrong_theta_length_rejected(self, model_id):
+        sim, _, _ = self.CASES[model_id]
+        noise = draw_bare_noise(model_id, 10, 0)
+        theta = TRUE_THETA[model_id]
+        for bad in (theta[:-1], np.append(theta, 0.1)):
+            with pytest.raises(InvalidParameterError):
+                sim(bad, noise)
 
 
 class TestTransitionDensityNlar1:
@@ -443,6 +522,12 @@ class TestTrajectoryIO:
         back, x0 = load_trajectory_batch(path)
         assert x0 == 0.25
         assert np.array_equal(back, x)
+
+    @pytest.mark.parametrize("text", ["", "step,x\n", "step,x\n0,0.25\n1,oops\n",
+                                      "step,x\n0,0.25\n1\n"])
+    def test_malformed_csv_raises_value_error(self, text):
+        with pytest.raises(ValueError, match="trajectory CSV"):
+            trajectory_from_csv(text)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.traj"

@@ -14,14 +14,7 @@ from statforge.models import (
     sample_prior,
     simulate_nlar1,
 )
-from statforge.suffstats import (
-    mle_alpha,
-    mle_sigma2,
-    order_param,
-    stats_batch,
-    stats_to_csv,
-    suff_stats,
-)
+from statforge.suffstats import stats_to_csv, suff_stats
 
 
 def make_traj(theta, seed, n=200, x0=0.25):
@@ -33,25 +26,25 @@ class TestMleAlpha:
         for alpha in (4.3, 5.0, 5.72):
             noise = BareNoise(channels=np.zeros((100, 1)), seed=0)
             traj = simulate_nlar1((alpha, 0.0), noise, x0=0.6)
-            assert abs(mle_alpha(traj) - alpha) / alpha < 1e-12
+            assert abs(suff_stats(traj).alpha_hat - alpha) / alpha < 1e-12
 
     def test_matches_numeric_mle(self):
         traj = make_traj((5.3, 0.015), seed=21)
-        a_hat = mle_alpha(traj)
+        a_hat = suff_stats(traj).alpha_hat
         best = quadratic_peak_max(
             lambda a: log_likelihood(traj, (a, 0.015), "nlar1"), 4.2, 5.8)
         assert abs(best - a_hat) < 1e-8
 
     def test_degenerate_denominator(self):
         with pytest.raises(UndefinedStatisticError):
-            mle_alpha(Trajectory(x=np.zeros(10), x0=0.0))
+            suff_stats(Trajectory(x=np.zeros(10), x0=0.0))
 
 
 class TestMleSigma2:
     def test_noiseless_zero(self):
         noise = BareNoise(channels=np.zeros((100, 1)), seed=0)
         traj = simulate_nlar1((5.0, 0.0), noise, x0=0.6)
-        assert mle_sigma2(traj) < 1e-20
+        assert suff_stats(traj).sigma2_hat < 1e-20
 
     def test_residual_variance_oracle(self):
         # E[sigma2_hat] ~ sigma^2 (1 - 1/N) after fitting one parameter
@@ -59,21 +52,21 @@ class TestMleSigma2:
         sigma = 0.015
         vals = np.empty(n_traj)
         for k in range(n_traj):
-            vals[k] = mle_sigma2(make_traj((5.3, sigma), seed=1000 + k, n=n))
+            vals[k] = suff_stats(make_traj((5.3, sigma), seed=1000 + k, n=n)).sigma2_hat
         expected = sigma**2 * (1.0 - 1.0 / n)
         se = vals.std(ddof=1) / np.sqrt(n_traj)
         assert abs(vals.mean() - expected) < 3 * se
 
     def test_nonnegative(self):
         for seed in range(20):
-            assert mle_sigma2(make_traj((5.0, 0.02), seed=seed, n=50)) >= 0.0
+            assert suff_stats(make_traj((5.0, 0.02), seed=seed, n=50)).sigma2_hat >= 0.0
 
 
 class TestOrderParam:
     def test_zero_attractor_small(self):
         x = np.random.default_rng(0).uniform(-0.05, 0.05, size=200)
         traj = Trajectory(x=x, x0=0.01)
-        assert order_param(traj) < 1e-4
+        assert suff_stats(traj).order < 1e-4
 
     def test_attractor_separation(self):
         # at the true theta both attractor classes occur; their order values
@@ -81,7 +74,7 @@ class TestOrderParam:
         vals, finals = [], []
         for seed in range(60):
             traj = make_traj((5.3, 0.015), seed=3000 + seed)
-            vals.append(order_param(traj))
+            vals.append(suff_stats(traj).order)
             finals.append(traj.x[-1])
         vals = np.array(vals)
         low = vals[np.abs(finals) < np.asarray(0.2)]
@@ -95,7 +88,7 @@ class TestOrderParam:
         traj = Trajectory(x=x, x0=b)
         # regressor sequence is (b, a, b, a, ...): f^2 averages the two points
         expected = 0.5 * (f_nlar1(a) ** 2 + f_nlar1(b) ** 2)
-        assert order_param(traj) == pytest.approx(expected, rel=1e-12)
+        assert suff_stats(traj).order == pytest.approx(expected, rel=1e-12)
 
 
 class TestSufficiency:
@@ -121,13 +114,25 @@ class TestSufficiency:
         assert a == b
 
 
+def reference_stats(traj):
+    """The np.dot formulas of the statistics: the oracle for ``suff_stats``."""
+    f_prev = f_nlar1(traj.lagged())
+    sff = float(np.dot(f_prev, f_prev))
+    a_hat = float(np.dot(traj.x, f_prev)) / sff
+    r = traj.x - a_hat * f_prev
+    return np.array([a_hat, float(np.dot(r, r)) / traj.n_steps, sff / traj.n_steps])
+
+
 class TestBatchAndExport:
-    def test_batch_matches_scalar(self):
-        trajs = [make_traj((5.1, 0.02), seed=s, n=60) for s in range(5)]
-        batch = stats_batch(np.stack([t.x for t in trajs]), x0=0.25)
-        for i, t in enumerate(trajs):
-            st = suff_stats(t)
-            assert np.allclose(batch[i], st.as_array(), rtol=1e-12, atol=0.0)
+    def test_matches_dot_oracle(self):
+        # einsum sums in another order than np.dot, so equality is up to
+        # rounding: rtol 1e-12 leaves ~4 decimal digits of float64 headroom
+        rng = np.random.default_rng(17)
+        for seed in range(40):
+            theta = sample_prior(NLAR1_PRIOR, rng)
+            traj = make_traj(theta, seed=900 + seed, n=(60, 200)[seed % 2])
+            st = suff_stats(traj)
+            assert np.allclose(st.as_array(), reference_stats(traj), rtol=1e-12, atol=0.0)
 
     def test_csv_has_both_scale_columns(self):
         traj = make_traj((5.2, 0.015), seed=3, n=50)
