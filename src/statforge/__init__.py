@@ -19,14 +19,17 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .models import (
+    MODEL_IDS,
     BareNoise,
     DynamoMap,
+    ModelSpec,
     PriorSpec,
     Trajectory,
     bifurcation_sweep,
     draw_bare_noise,
     log_likelihood,
     log_likelihood_fn,
+    model_spec,
     prior_for,
     sample_prior,
     simulate,
@@ -34,6 +37,7 @@ from .models import (
     simulate_dynamo,
     simulate_nlar1,
     stream,
+    transition_density,
     transition_density_dynamo,
     transition_density_nlar1,
 )

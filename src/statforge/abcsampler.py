@@ -26,9 +26,11 @@ import numpy as np
 
 from .errors import DegenerateStatisticError
 from .models import (
+    ModelSpec,
     PriorSpec,
     Trajectory,
-    prior_for,
+    draw_noise_batch,
+    model_spec,
     row_streams,
     sample_prior,
     simulate_batch,
@@ -137,17 +139,17 @@ def stats_fn_subset(fn, indices):
     return sub
 
 
-def fit_standardizer(model_id: str, prior: PriorSpec, stats_fn, m: int = 2000,
-                     seed: int = 0, n_steps: int = 200) -> Standardizer:
+def fit_standardizer(model, stats_fn, m: int = 2000, seed: int = 0,
+                     n_steps: int = 200) -> Standardizer:
     """Prior-predictive standardizer from m >= 1000 fresh simulations."""
     if m < 1000:
         raise ValueError("standardizer needs m >= 1000 prior-predictive simulations")
+    spec = model_spec(model)
+    prior = spec.prior
     rng = stream(seed, 0xF17)
     thetas = sample_prior(prior, rng, size=m)
-    from .models import draw_noise_batch
-
-    noise = draw_noise_batch(model_id, m, n_steps, rng)
-    x = simulate_batch(model_id, thetas, noise, x0=prior.x0)
+    noise = draw_noise_batch(spec, m, n_steps, rng)
+    x = simulate_batch(spec, thetas, noise, x0=prior.x0)
     return standardizer_from_stats(stats_fn(x, prior.x0), seed=seed)
 
 
@@ -163,21 +165,15 @@ def _distance_batch(stats: np.ndarray, s_obs: np.ndarray, std: Standardizer):
     return np.sqrt(np.sum(diff * diff, axis=1)), diff
 
 
-def _model_stat_sim(model_id: str, prior: PriorSpec, stats_fn, seed: int,
-                    n_steps: int):
+def _model_stat_sim(spec: ModelSpec, stats_fn, seed: int, n_steps: int):
     """Per-particle-stream simulator: (thetas, sweep, particle ids) -> stats."""
-    from .models import noise_channels
-
-    c = noise_channels(model_id)
+    prior, draw = spec.prior, spec.noise_draw
 
     def sim(thetas: np.ndarray, sweep: int, particles: np.ndarray) -> np.ndarray:
-        noise = np.empty((thetas.shape[0], n_steps, c))
+        noise = np.empty((thetas.shape[0], n_steps, spec.noise_channels))
         for row, g in enumerate(row_streams(particles, seed, NOISE_TAG, sweep)):
-            if model_id == "dynamo":
-                g.random(out=noise[row])
-            else:
-                g.standard_normal(out=noise[row])
-        x = simulate_batch(model_id, thetas, noise, x0=prior.x0)
+            draw(g, out=noise[row])
+        x = simulate_batch(spec, thetas, noise, x0=prior.x0)
         return stats_fn(x, prior.x0)
 
     return sim
@@ -264,43 +260,46 @@ def sabc_core(stat_sim, prior: PriorSpec, s_obs: np.ndarray, std: Standardizer,
     return sample, record
 
 
-def sabc_run(model_id: str, prior: PriorSpec | None, stats_fn,
+def sabc_run(model, prior: PriorSpec | None, stats_fn,
              observation: Trajectory, cfg: AbcConfig,
              std: Standardizer | None = None):
-    """Annealed ABC against one observed trajectory of a benchmark model."""
-    prior = prior or prior_for(model_id)
+    """Annealed ABC against one observed trajectory of a benchmark model.
+
+    ``model`` is a ModelSpec or a model id; a ``prior`` replaces its prior.
+    """
+    spec = model_spec(model, prior)
     if std is None:
-        std = fit_standardizer(model_id, prior, stats_fn,
-                               m=max(1000, cfg.population), seed=cfg.seed,
-                               n_steps=cfg.n_steps)
+        std = fit_standardizer(spec, stats_fn, m=max(1000, cfg.population),
+                               seed=cfg.seed, n_steps=cfg.n_steps)
     s_obs = stats_fn(observation.x[None, :], observation.x0)[0]
-    stat_sim = _model_stat_sim(model_id, prior, stats_fn, cfg.seed, cfg.n_steps)
-    return sabc_core(stat_sim, prior, s_obs, std, cfg)
+    stat_sim = _model_stat_sim(spec, stats_fn, cfg.seed, cfg.n_steps)
+    return sabc_core(stat_sim, spec.prior, s_obs, std, cfg)
 
 
-def rejection_abc(model_id: str, prior: PriorSpec | None, stats_fn,
+def rejection_abc(model, prior: PriorSpec | None, stats_fn,
                   observation: Trajectory, n_sims: int, keep_fraction: float,
                   std: Standardizer | None = None, seed: int = 0,
                   n_steps: int = 200, chunk: int = 10_000):
-    """Keep the smallest-distance fraction of prior-predictive simulations."""
+    """Keep the smallest-distance fraction of prior-predictive simulations.
+
+    ``model`` is a ModelSpec or a model id; a ``prior`` replaces its prior.
+    """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
-    prior = prior or prior_for(model_id)
+    spec = model_spec(model, prior)
+    prior = spec.prior
     if std is None:
-        std = fit_standardizer(model_id, prior, stats_fn,
-                               m=max(1000, min(n_sims, 2000)), seed=seed,
-                               n_steps=n_steps)
+        std = fit_standardizer(spec, stats_fn, m=max(1000, min(n_sims, 2000)),
+                               seed=seed, n_steps=n_steps)
     s_obs = stats_fn(observation.x[None, :], observation.x0)[0]
     rng = stream(seed, 0xE)
-    from .models import draw_noise_batch
-
     thetas = sample_prior(prior, rng, size=n_sims)
     dist = np.empty(n_sims)
     comp = None
     for lo in range(0, n_sims, chunk):
         hi = min(lo + chunk, n_sims)
-        noise = draw_noise_batch(model_id, hi - lo, n_steps, rng)
-        x = simulate_batch(model_id, thetas[lo:hi], noise, x0=prior.x0)
+        noise = draw_noise_batch(spec, hi - lo, n_steps, rng)
+        x = simulate_batch(spec, thetas[lo:hi], noise, x0=prior.x0)
         d, c = _distance_batch(stats_fn(x, prior.x0), s_obs, std)
         if comp is None:
             comp = np.empty((n_sims, c.shape[1]))

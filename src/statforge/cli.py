@@ -22,20 +22,20 @@ import numpy as np
 
 from . import __version__, config as cfgmod
 from . import abcsampler, diagnostics, enca as enca_mod, inca as inca_mod, mcmc as mcmc_mod
-from .encoder import encoder_subset, infer_q
+from .encoder import MIN_INPUT_LENGTH, encode, encoder_subset, infer_q
 from .errors import StatforgeError
 from .models import (
+    MODEL_IDS,
     Trajectory,
     bifurcation_sweep,
     draw_bare_noise,
-    prior_for,
-    simulate,
-    save_trajectory_batch,
     draw_noise_batch,
+    save_trajectory_batch,
+    simulate,
     simulate_batch,
+    stream,
     trajectory_from_csv,
     trajectory_to_csv,
-    TRUE_THETA,
 )
 from .samples import sample_set_from_csv, sample_set_to_csv
 from .suffstats import stats_batch, stats_to_csv
@@ -73,16 +73,18 @@ def _parse_theta(text: str) -> np.ndarray:
         raise UsageError(f"--theta: expected comma-separated floats, got {text!r}") from err
 
 
-def _read_trajectory(path, flag: str) -> Trajectory:
-    """Trajectory CSV named by ``flag``; a missing or malformed file is a UsageError."""
+def _read_trajectory(path, flag: str, min_steps: int = 1) -> Trajectory:
+    """Trajectory CSV named by ``flag``; a missing or malformed file, or one with
+    fewer than ``min_steps`` steps after x0, is a UsageError."""
     if not Path(path).exists():
         raise UsageError(f"{flag}: file not found: {path}")
     try:
         traj = trajectory_from_csv(Path(path).read_text())
     except ValueError as err:
         raise UsageError(f"{flag}: {path}: {err}") from err
-    if traj.n_steps == 0:
-        raise UsageError(f"{flag}: {path}: the trajectory has no steps after x0")
+    if traj.n_steps < min_steps:
+        raise UsageError(f"{flag}: {path}: the trajectory has {traj.n_steps} steps "
+                         f"after x0; at least {min_steps} are needed")
     return traj
 
 
@@ -144,29 +146,24 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     seed = _global_seed(args)
-    model_id = args.model
-    prior = cfgmod.prior_from_config(cfg, model_id)
-    theta = _parse_theta(args.theta) if args.theta else TRUE_THETA[model_id]
+    spec = cfgmod.model_spec_from_config(cfg, args.model)
+    theta = _parse_theta(args.theta) if args.theta else spec.true_theta
     n_steps = args.n_steps or cfgmod.config_get(cfg, "model", "n_steps", int, 200)
-    x0 = args.x0 if args.x0 is not None else prior.x0
-    f2 = cfgmod.dynamo_map_from_config(cfg)
+    x0 = args.x0 if args.x0 is not None else spec.prior.x0
     if args.format == "csv":
-        noise = draw_bare_noise(model_id, n_steps, seed)
-        traj = simulate(model_id, theta, noise, x0=x0, n_steps=n_steps, f2=f2)
+        noise = draw_bare_noise(spec, n_steps, seed)
+        traj = simulate(spec, theta, noise, x0=x0, n_steps=n_steps)
         (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
     else:
-        from .models import stream
-
         rng = stream(seed, 0x51)
-        noise = draw_noise_batch(model_id, args.count, n_steps, rng)
-        x = simulate_batch(model_id, np.tile(theta, (args.count, 1)), noise,
-                           x0=x0, f2=f2)
+        noise = draw_noise_batch(spec, args.count, n_steps, rng)
+        x = simulate_batch(spec, np.tile(theta, (args.count, 1)), noise, x0=x0)
         save_trajectory_batch(out / "trajectories.traj", x, x0=x0)
     cfgmod.write_manifest(
-        out, command="simulate", config={"model": model_id, "theta": theta.tolist(),
+        out, command="simulate", config={"model": spec.id, "theta": theta.tolist(),
                                          "n_steps": n_steps, "x0": x0,
                                          "format": args.format, "count": args.count,
-                                         "f2": f2.constants()},
+                                         "model_spec": spec.record()},
         seeds={"seed": seed}, started=started)
     return 0
 
@@ -175,13 +172,13 @@ def cmd_bifurcation(args) -> int:
     started = time.perf_counter()
     cfg = _load_cfg(args)
     out = _out_dir(args)
-    f2 = cfgmod.dynamo_map_from_config(cfg)
+    spec = cfgmod.model_spec_from_config(cfg, args.model)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.points)
     x0_list = [float(v) for v in args.x0.split(",")] if args.x0 else [None]
     rows = []
     for x0 in x0_list:
-        points = bifurcation_sweep(args.model, alphas, n_transient=args.transient,
-                                   n_record=args.record, x0=x0, f2=f2)
+        points = bifurcation_sweep(spec, alphas, n_transient=args.transient,
+                                   n_record=args.record, x0=x0)
         for pt in points:
             for v in pt.values:
                 rows.append((pt.alpha, x0, v, pt.diverged))
@@ -196,7 +193,7 @@ def cmd_bifurcation(args) -> int:
         config={"model": args.model, "alpha_min": args.alpha_min,
                 "alpha_max": args.alpha_max, "points": args.points,
                 "transient": args.transient, "record": args.record,
-                "x0": args.x0, "f2": f2.constants()},
+                "x0": args.x0, "model_spec": spec.record()},
         seeds={}, started=started)
     return 0
 
@@ -221,7 +218,7 @@ def cmd_train_enca(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     seed = _global_seed(args)
-    prior = cfgmod.prior_from_config(cfg, args.model)
+    spec = cfgmod.model_spec_from_config(cfg, args.model)
     train_cfg = enca_mod.EncaConfig(
         q=args.q or cfgmod.config_get(cfg, "enca", "q", int, 3),
         minibatch=args.minibatch,
@@ -234,7 +231,7 @@ def cmd_train_enca(args) -> int:
         log_every=cfgmod.config_get(cfg, "enca", "log_every", int, 100),
     )
     with _limit_threads(1) as blas_threads:  # optimizer path is single-threaded
-        result = enca_mod.train_enca(args.model, train_cfg, prior=prior)
+        result = enca_mod.train_enca(spec, train_cfg)
     _write_training_outputs(out, result, args, started, command="train-enca",
                             blas_threads=blas_threads)
     return 0
@@ -245,7 +242,7 @@ def cmd_train_inca(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     seed = _global_seed(args)
-    prior = cfgmod.prior_from_config(cfg, args.model)
+    spec = cfgmod.model_spec_from_config(cfg, args.model)
     train_cfg = inca_mod.IncaConfig(
         q=args.q or cfgmod.config_get(cfg, "inca", "q", int, 3),
         n_replicas=args.n_replicas or cfgmod.config_get(cfg, "inca", "n_replicas", int, 5),
@@ -258,7 +255,7 @@ def cmd_train_inca(args) -> int:
         log_every=cfgmod.config_get(cfg, "inca", "log_every", int, 100),
     )
     with _limit_threads(1) as blas_threads:
-        result = inca_mod.train_inca(args.model, train_cfg, prior=prior)
+        result = inca_mod.train_inca(spec, train_cfg)
     _write_training_outputs(out, result, args, started, command="train-inca",
                             blas_threads=blas_threads)
     return 0
@@ -267,9 +264,6 @@ def cmd_train_inca(args) -> int:
 def _write_training_outputs(out: Path, result, args, started, command: str,
                             blas_threads: dict):
     cfg_snapshot = dict(result.meta)
-    f2 = cfgmod.dynamo_map_from_config(_load_cfg(args))
-    cfg_snapshot["f2_constants"] = f2.constants()
-    cfg_snapshot["f2_constants_sha256"] = cfgmod.f2_constants_digest(f2)
     weights_path = out / "weights.sfwt"
     save_weights(weights_path, result.store, meta=cfg_snapshot)
     with open(out / "train_log.jsonl", "w") as fh:
@@ -292,9 +286,7 @@ def cmd_encode(args) -> int:
     rows = []
     hashes = {str(args.weights): cfgmod.sha256_of_file(args.weights)}
     for path in args.input:
-        traj = _read_trajectory(path, "--input")
-        from .encoder import encode
-
+        traj = _read_trajectory(path, "--input", min_steps=MIN_INPUT_LENGTH)
         rows.append(encode(traj, weights))
         hashes[str(path)] = cfgmod.sha256_of_file(path)
     q = infer_q(weights)
@@ -312,11 +304,13 @@ def cmd_abc(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     seed = _global_seed(args)
-    prior = cfgmod.prior_from_config(cfg, args.model)
-    observation = _read_trajectory(args.observation, "--observation")
+    spec = cfgmod.model_spec_from_config(cfg, args.model)
+    observation = _read_trajectory(
+        args.observation, "--observation",
+        min_steps=1 if args.stats == "suffstats" else MIN_INPUT_LENGTH)
     input_hashes = {str(args.observation): cfgmod.sha256_of_file(args.observation)}
     if args.stats == "suffstats":
-        if args.model != "nlar1":
+        if not spec.has_suffstats:
             raise UsageError("--stats suffstats is only defined for nlar1")
         stats_fn = abcsampler.stats_fn_suffstats()
         stats_src = "suffstats"
@@ -337,12 +331,12 @@ def cmd_abc(args) -> int:
     )
     with _limit_threads(args.threads) as blas_threads:
         if args.sampler == "sabc":
-            sample, record = abcsampler.sabc_run(args.model, prior, stats_fn,
+            sample, record = abcsampler.sabc_run(spec, None, stats_fn,
                                                  observation, run_cfg)
         else:
             keep = max(run_cfg.population / run_cfg.budget, 1e-4)
             sample, record = abcsampler.rejection_abc(
-                args.model, prior, stats_fn, observation, n_sims=run_cfg.budget,
+                spec, None, stats_fn, observation, n_sims=run_cfg.budget,
                 keep_fraction=keep, seed=seed, n_steps=observation.n_steps)
     (out / "samples.csv").write_text(sample_set_to_csv(sample))
     trace_lines = ["sweep,acceptance,tolerance"]
@@ -352,11 +346,9 @@ def cmd_abc(args) -> int:
     (out / "trace.csv").write_text("\n".join(trace_lines) + "\n")
     cfgmod.write_manifest(
         out, command="abc",
-        config={"model": args.model, "sampler": args.sampler,
+        config={"model": spec.id, "sampler": args.sampler,
                 "stats": stats_src, "q": args.q,
-                "abc": sample.manifest, "prior": {"lower": prior.lower.tolist(),
-                                                  "upper": prior.upper.tolist(),
-                                                  "x0": prior.x0}},
+                "abc": sample.manifest, "model_spec": spec.record()},
         seeds={"seed": seed}, input_hashes=input_hashes,
         extra={"blas_threads": blas_threads}, started=started)
     return 0
@@ -367,7 +359,7 @@ def cmd_mcmc(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args)
     seed = _global_seed(args)
-    prior = cfgmod.prior_from_config(cfg, args.model)
+    spec = cfgmod.model_spec_from_config(cfg, args.model)
     observation = _read_trajectory(args.observation, "--observation")
     run_cfg = mcmc_mod.McmcConfig(
         chain_length=args.chain_length or cfgmod.config_get(cfg, "mcmc", "chain_length", int, 200_000),
@@ -375,11 +367,12 @@ def cmd_mcmc(args) -> int:
         thin=cfgmod.config_get(cfg, "mcmc", "thin", int, 10),
         seed=seed,
     )
-    sample, rate = mcmc_mod.metropolis_run(args.model, prior, observation, run_cfg)
+    sample, rate = mcmc_mod.metropolis_run(spec, None, observation, run_cfg)
     (out / "samples.csv").write_text(sample_set_to_csv(sample))
     cfgmod.write_manifest(
         out, command="mcmc",
-        config={"model": args.model, "mcmc": sample.manifest},
+        config={"model": spec.id, "mcmc": sample.manifest,
+                "model_spec": spec.record()},
         seeds={"seed": seed},
         input_hashes={str(args.observation): cfgmod.sha256_of_file(args.observation)},
         extra={"acceptance_rate": rate}, started=started)
@@ -388,6 +381,7 @@ def cmd_mcmc(args) -> int:
 
 def cmd_diagnose(args) -> int:
     started = time.perf_counter()
+    spec = cfgmod.model_spec_from_config(_load_cfg(args), args.model or "nlar1")
     out = _out_dir(args)
     did_anything = False
     extra = {}
@@ -395,7 +389,7 @@ def cmd_diagnose(args) -> int:
     if args.posterior and args.reference:
         a = sample_set_from_csv(Path(args.posterior).read_text())
         b = sample_set_from_csv(Path(args.reference).read_text())
-        prior = prior_for(args.model) if args.model else None
+        prior = spec.prior if args.model else None
         if prior is not None:
             raw, normed = diagnostics.marginal_wasserstein(a, b, prior)
         else:
@@ -432,15 +426,13 @@ def cmd_diagnose(args) -> int:
         arrays, _ = _require_weights(args.weights)
         weights = encoder_subset(arrays)
         seed = _global_seed(args)
-        table = diagnostics.regression_scatter(weights, args.model or "nlar1", None,
-                                               m=args.scatter, seed=seed,
-                                               n_steps=args.n_steps or 200)
+        table = diagnostics.regression_scatter(weights, spec, m=args.scatter,
+                                               seed=seed, n_steps=args.n_steps or 200)
         (out / "regression.csv").write_text(diagnostics.regression_scatter_csv(table))
         extra["pearson"] = table["pearson"].tolist()
-        if (args.model or "nlar1") == "nlar1":
-            latent = diagnostics.latent_scatter(weights, "nlar1", None,
-                                                m=args.scatter, seed=seed,
-                                                n_steps=args.n_steps or 200)
+        if spec.has_suffstats:
+            latent = diagnostics.latent_scatter(weights, spec, m=args.scatter,
+                                                seed=seed, n_steps=args.n_steps or 200)
             (out / "latent.csv").write_text(diagnostics.latent_scatter_csv(latent))
         input_hashes[args.weights] = cfgmod.sha256_of_file(args.weights)
         did_anything = True
@@ -448,7 +440,9 @@ def cmd_diagnose(args) -> int:
         raise UsageError("diagnose: nothing to do; pass --posterior/--reference, "
                          "--distances, or --weights with --scatter")
     cfgmod.write_manifest(out, command="diagnose",
-                          config={"quantile": args.quantile, "bins": args.bins},
+                          config={"quantile": args.quantile, "bins": args.bins,
+                                  "model_spec": spec.record()
+                                  if args.model or args.scatter else None},
                           seeds={}, input_hashes=input_hashes, extra=extra,
                           started=started)
     return 0
@@ -509,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="RNG seed (fallback: STATFORGE_SEED)")
 
     p = sub.add_parser("simulate", help="simulate one trajectory or a batch")
-    p.add_argument("--model", choices=("nlar1", "dynamo"), required=True)
+    p.add_argument("--model", choices=MODEL_IDS, required=True)
     p.add_argument("--theta", default=None, help="comma-separated parameters")
     p.add_argument("--n-steps", type=int, default=None)
     p.add_argument("--x0", type=float, default=None)
@@ -519,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bifurcation", help="deterministic amplitude sweep")
-    p.add_argument("--model", choices=("nlar1", "dynamo"), required=True)
+    p.add_argument("--model", choices=MODEL_IDS, required=True)
     p.add_argument("--alpha-min", type=float, required=True)
     p.add_argument("--alpha-max", type=float, required=True)
     p.add_argument("--points", type=int, default=200)
@@ -536,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_suffstats)
 
     p = sub.add_parser("train-enca", help="train the explicit-noise autoencoder")
-    p.add_argument("--model", choices=("nlar1", "dynamo"), required=True)
+    p.add_argument("--model", choices=MODEL_IDS, required=True)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--minibatch", type=int, default=None)
     p.add_argument("--steps", type=int, default=None)
@@ -547,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train_enca)
 
     p = sub.add_parser("train-inca", help="train the implicit-noise autoencoder")
-    p.add_argument("--model", choices=("nlar1", "dynamo"), required=True)
+    p.add_argument("--model", choices=MODEL_IDS, required=True)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--n-replicas", type=int, default=None)
     p.add_argument("--theta-batch", type=int, default=None)
@@ -564,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("abc", help="simulated-annealing ABC (or rejection baseline)")
-    p.add_argument("--model", choices=("nlar1", "dynamo"), required=True)
+    p.add_argument("--model", choices=MODEL_IDS, required=True)
     p.add_argument("--observation", required=True, help="observed trajectory CSV")
     p.add_argument("--weights", default=None, help="encoder weights container")
     p.add_argument("--stats", choices=("weights", "suffstats"), default="weights")
@@ -580,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_abc)
 
     p = sub.add_parser("mcmc", help="Metropolis ground-truth posterior")
-    p.add_argument("--model", choices=("nlar1", "dynamo"), required=True)
+    p.add_argument("--model", choices=MODEL_IDS, required=True)
     p.add_argument("--observation", required=True)
     p.add_argument("--chain-length", type=int, default=None)
     common(p)
@@ -589,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="posterior comparisons and figure tables")
     p.add_argument("--posterior", default=None, help="sample CSV to evaluate")
     p.add_argument("--reference", default=None, help="ground-truth sample CSV")
-    p.add_argument("--model", choices=("nlar1", "dynamo"), default=None)
+    p.add_argument("--model", choices=MODEL_IDS, default=None)
     p.add_argument("--distances", default=None, help="ABC samples.csv with distances")
     p.add_argument("--quantile", type=float, default=0.99)
     p.add_argument("--bins", type=int, default=30)

@@ -12,11 +12,12 @@ import hashlib
 import json
 import platform
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .models import DEFAULT_DYNAMO_MAP, DynamoMap, PriorSpec, prior_for
+from .models import DEFAULT_DYNAMO_MAP, DynamoMap, ModelSpec, PriorSpec, model_spec
 
 DEFAULTS = {
     "model": {"id": "nlar1", "n_steps": "200"},
@@ -53,27 +54,32 @@ def config_get(cfg: dict, section: str, key: str, cast=str, default=None):
     return cast(raw)
 
 
-def dynamo_map_from_config(cfg: dict) -> DynamoMap:
-    sec = cfg.get("dynamo_f2", {})
-    if not sec:
-        return DEFAULT_DYNAMO_MAP
-    return DynamoMap(x1=float(sec.get("x1", 0.5)), d1=float(sec.get("d1", 0.15)),
-                     x2=float(sec.get("x2", 1.3)), d2=float(sec.get("d2", 0.25)))
+def model_spec_from_config(cfg: dict, model_id: str) -> ModelSpec:
+    """The model's spec with the configured prior and, for dynamo, f2.
 
-
-def prior_from_config(cfg: dict, model_id: str) -> PriorSpec:
-    """[prior] section overrides the shipped bounds; x0 sits in [model]."""
-    base = prior_for(model_id)
+    A [prior] section overrides the shipped bounds and [model] x0 the
+    initial condition.  The [dynamo_f2] constants build the dynamo map; its
+    ``source`` is "config" when they differ from the shipped ones.
+    """
+    base = model_spec(model_id)
     sec = cfg.get("prior", {})
-    lower = base.lower.copy()
-    upper = base.upper.copy()
-    for i, name in enumerate(base.names):
+    lower = base.prior.lower.copy()
+    upper = base.prior.upper.copy()
+    for i, name in enumerate(base.prior.names):
         raw = sec.get(name)
         if raw:
             lo, hi = (float(v) for v in raw.split(","))
             lower[i], upper[i] = lo, hi
-    x0 = config_get(cfg, "model", "x0", float, base.x0)
-    return PriorSpec(base.names, lower, upper, x0=x0)
+    x0 = config_get(cfg, "model", "x0", float, base.prior.x0)
+    spec = replace(base, prior=PriorSpec(base.prior.names, lower, upper, x0=x0))
+    if spec.f2 is None:
+        return spec
+    shipped = DEFAULT_DYNAMO_MAP
+    f2 = DynamoMap(**{k: config_get(cfg, "dynamo_f2", k, float, getattr(shipped, k))
+                      for k in ("x1", "d1", "x2", "d2")})
+    if f2 != shipped:
+        f2 = replace(f2, source="config")
+    return replace(spec, f2=f2)
 
 
 def sha256_of_file(path) -> str:
@@ -87,10 +93,6 @@ def sha256_of_file(path) -> str:
 def sha256_of_obj(obj) -> str:
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()
-
-
-def f2_constants_digest(f2: DynamoMap) -> str:
-    return sha256_of_obj(f2.constants())
 
 
 def write_manifest(out_dir, *, command: str, config: dict, seeds: dict,

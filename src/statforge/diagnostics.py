@@ -16,11 +16,13 @@ import numpy as np
 
 from .encoder import encode_batch
 from .models import (
+    ModelSpec,
     PriorSpec,
-    TRUE_THETA,
+    draw_bare_noise,
     draw_noise_batch,
-    prior_for,
+    model_spec,
     sample_prior,
+    simulate,
     simulate_batch,
     stream,
 )
@@ -147,30 +149,29 @@ def auc_score(scores, labels) -> float:
 # figure-data tables
 # ---------------------------------------------------------------------------
 
-def simulate_prior_batch(model_id: str, prior: PriorSpec, m: int, seed: int,
-                         n_steps: int):
+def simulate_prior_batch(spec: ModelSpec, m: int, seed: int, n_steps: int):
     rng = stream(seed, 0xD1A)
-    thetas = sample_prior(prior, rng, size=m)
-    noise = draw_noise_batch(model_id, m, n_steps, rng)
-    x = simulate_batch(model_id, thetas, noise, x0=prior.x0)
+    thetas = sample_prior(spec.prior, rng, size=m)
+    noise = draw_noise_batch(spec, m, n_steps, rng)
+    x = simulate_batch(spec, thetas, noise, x0=spec.prior.x0)
     return thetas, x
 
 
-def regression_scatter(weights, model_id: str, prior: PriorSpec | None, m: int,
-                       seed: int = 0, n_steps: int = 200):
+def regression_scatter(weights, model, m: int, seed: int = 0, n_steps: int = 200):
     """Encoder regressors against true parameters on fresh prior draws.
 
     Returns a dict with the true thetas, all q statistics, per-component
     Pearson correlations, and (nlar1 only) the closed-form statistic columns.
     """
-    prior = prior or prior_for(model_id)
-    thetas, x = simulate_prior_batch(model_id, prior, m, seed, n_steps)
+    spec = model_spec(model)
+    prior = spec.prior
+    thetas, x = simulate_prior_batch(spec, m, seed, n_steps)
     stats = encode_batch(x, weights)
     p = prior.dim
     corr = np.array([pearson(stats[:, j], thetas[:, j]) for j in range(p)])
     out = {"theta": thetas, "stats": stats, "pearson": corr,
            "param_names": prior.names}
-    if model_id == "nlar1":
+    if spec.has_suffstats:
         out["suffstats"] = stats_batch(x, prior.x0)
     return out
 
@@ -210,24 +211,25 @@ def attractor_threshold(o_values: np.ndarray, min_gap_fraction: float = 0.2):
     return float(0.5 * (o[k] + o[k + 1]))
 
 
-def latent_scatter(weights, model_id: str, prior: PriorSpec | None, m: int,
-                   seed: int = 0, n_steps: int = 200, pilot: int = 1000):
+def latent_scatter(weights, model, m: int, seed: int = 0, n_steps: int = 200,
+                   pilot: int = 1000):
     """Latent statistics with attractor labels (nlar1 only).
 
     The label threshold comes from the bimodal gap of the order parameter in
     a pilot run at the true parameter values; a unimodal pilot skips labeling
     with a warning.
     """
-    if model_id != "nlar1":
+    spec = model_spec(model)
+    if not spec.has_suffstats:
         raise ValueError("latent scatter with attractor labels is nlar1-only")
-    prior = prior or prior_for(model_id)
+    prior = spec.prior
     rng = stream(seed, 0xA77)
-    true_theta = TRUE_THETA["nlar1"]
-    noise = draw_noise_batch(model_id, pilot, n_steps, rng)
-    xp = simulate_batch(model_id, np.tile(true_theta, (pilot, 1)), noise, x0=prior.x0)
+    noise = draw_noise_batch(spec, pilot, n_steps, rng)
+    xp = simulate_batch(spec, np.tile(spec.true_theta, (pilot, 1)), noise,
+                        x0=prior.x0)
     o_pilot = stats_batch(xp, prior.x0)[:, 2]
     tau = attractor_threshold(o_pilot)
-    thetas, x = simulate_prior_batch(model_id, prior, m, seed, n_steps)
+    thetas, x = simulate_prior_batch(spec, m, seed, n_steps)
     stats = encode_batch(x, weights)
     order = stats_batch(x, prior.x0)[:, 2]
     if tau is None:
@@ -255,9 +257,8 @@ def latent_scatter_csv(table) -> str:
     return buf.getvalue()
 
 
-def reconstruction_overlay(weights_a, weights_b, model_id: str, theta,
-                           seed: int = 0, n_steps: int = 200,
-                           prior: PriorSpec | None = None):
+def reconstruction_overlay(weights_a, weights_b, model, theta,
+                           seed: int = 0, n_steps: int = 200):
     """One held-out trajectory against its two reconstructions.
 
     ``weights_a`` / ``weights_b`` are trained ENCA weight mappings (e.g. two
@@ -267,12 +268,9 @@ def reconstruction_overlay(weights_a, weights_b, model_id: str, theta,
     from .enca import enca_decode
     from .encoder import encode, infer_q
 
-    prior = prior or prior_for(model_id)
-    theta = np.asarray(theta, dtype=float)
-    from .models import draw_bare_noise, simulate
-
-    noise = draw_bare_noise(model_id, n_steps, seed)
-    traj = simulate(model_id, theta, noise, x0=prior.x0)
+    spec = model_spec(model)
+    noise = draw_bare_noise(spec, n_steps, seed)
+    traj = simulate(spec, np.asarray(theta, dtype=float), noise)
     cols = {"step": np.arange(1, n_steps + 1), "x": traj.x}
     for tag, wts in (("a", weights_a), ("b", weights_b)):
         s = encode(traj, wts)

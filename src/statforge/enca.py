@@ -24,22 +24,18 @@ from .encoder import encode_forward, init_encoder
 from .errors import TrainingDivergedError
 from .models import (
     BareNoise,
-    PriorSpec,
     draw_noise_batch,
-    noise_channels,
-    prior_for,
+    model_spec,
     sample_prior,
     simulate_batch,
     stream,
 )
 
-DEFAULT_MINIBATCH = {"nlar1": 300, "dynamo": 100}
-
 
 @dataclass
 class EncaConfig:
     q: int = 3
-    minibatch: int | None = None   # None -> per-model default
+    minibatch: int | None = None   # None -> the spec's enca_minibatch
     steps: int = 1000
     lr: float = 1e-3
     seed: int = 0
@@ -47,9 +43,6 @@ class EncaConfig:
     c_x: float | None = None       # None -> pilot estimate
     log_every: int = 100
     checkpoint_every: int = 10_000
-
-    def resolve_minibatch(self, model_id: str) -> int:
-        return self.minibatch if self.minibatch is not None else DEFAULT_MINIBATCH[model_id]
 
 
 @dataclass
@@ -80,9 +73,9 @@ def _init_bilstm(store: T.ParameterStore, prefix: str, c_in: int, units: int,
         store.add(f"{prefix}b_{tag}", bias)
 
 
-def init_enca(model_id: str, q: int, rng: np.random.Generator) -> T.ParameterStore:
+def init_enca(model, q: int, rng: np.random.Generator) -> T.ParameterStore:
     store = init_encoder(q, rng)
-    c = noise_channels(model_id)
+    c = model_spec(model).noise_channels
     _init_bilstm(store, "decoder.bilstm1.", q + c, 16, rng)
     _init_bilstm(store, "decoder.bilstm2.", 32, 16, rng)
     store.add("decoder.fc.weight", T.glorot_uniform(rng, (32, 1), 32, 1))
@@ -124,32 +117,20 @@ def decode_forward(weights, s, noise: np.ndarray):
 
 def enca_decode(s, noise: BareNoise, weights) -> Reconstruction:
     """Reconstruct one trajectory from its statistics and bare noise."""
-    s = np.asarray(getattr(s, "s", s), dtype=float)
+    s = np.asarray(s, dtype=float)
     x_hat = decode_forward(weights, T.Tensor(s[None, :]), noise.channels[None]).data[0]
     return Reconstruction(x_hat=x_hat)
 
 
-def enca_loss(s, theta, x_hat, x, c_x: float) -> float:
-    """Joint loss of one sample: regression term plus reconstruction term."""
-    s = np.asarray(getattr(s, "s", s), dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    x_hat = np.asarray(getattr(x_hat, "x_hat", x_hat), dtype=float)
-    x = np.asarray(getattr(x, "x", x), dtype=float)
-    p = theta.shape[0]
-    reg = float(np.mean(((s[:p] - theta) / theta) ** 2))
-    denom = np.maximum(np.abs(x), c_x)
-    rec = float(np.mean(((x_hat - x) / denom) ** 2))
-    return reg + rec
-
-
-def estimate_cx(model_id: str, prior: PriorSpec | None = None,
-                n_pilot: int = 10_000, n_steps: int = 200, seed: int = 0) -> float:
+def estimate_cx(model, n_pilot: int = 10_000, n_steps: int = 200,
+                seed: int = 0) -> float:
     """Denominator floor: 0.05 * prior-predictive std of |x| over a pilot run."""
-    prior = prior or prior_for(model_id)
+    spec = model_spec(model)
+    prior = spec.prior
     rng = stream(seed, 0xC0)
     thetas = sample_prior(prior, rng, size=n_pilot)
-    noise = draw_noise_batch(model_id, n_pilot, n_steps, rng)
-    x = simulate_batch(model_id, thetas, noise, x0=prior.x0)
+    noise = draw_noise_batch(spec, n_pilot, n_steps, rng)
+    x = simulate_batch(spec, thetas, noise, x0=prior.x0)
     return 0.05 * float(np.std(np.abs(x)))
 
 
@@ -167,23 +148,24 @@ def training_losses(store, thetas, noise, x, c_x: float):
     return T.add(reg, rec), reg, rec
 
 
-def train_enca(model_id: str, cfg: EncaConfig,
-               prior: PriorSpec | None = None) -> TrainResult:
+def train_enca(model, cfg: EncaConfig) -> TrainResult:
     """On-the-fly training: fresh prior draws and noise every step.
 
-    Single-threaded and bit-reproducible for a fixed seed.  Raises
-    TrainingDivergedError (carrying the last checkpoint) if the loss or a
-    gradient goes non-finite.
+    ``model`` is a ModelSpec or a model id; its prior and f2 drive every
+    simulation.  Single-threaded and bit-reproducible for a fixed seed.
+    Raises TrainingDivergedError (carrying the last checkpoint) if the loss
+    or a gradient goes non-finite.
     """
-    prior = prior or prior_for(model_id)
-    minibatch = cfg.resolve_minibatch(model_id)
+    spec = model_spec(model)
+    prior = spec.prior
+    minibatch = cfg.minibatch if cfg.minibatch is not None else spec.enca_minibatch
     init_rng = stream(cfg.seed, 1)
     data_rng = stream(cfg.seed, 2)
-    store = init_enca(model_id, cfg.q, init_rng)
+    store = init_enca(spec, cfg.q, init_rng)
     c_x = cfg.c_x if cfg.c_x is not None else estimate_cx(
-        model_id, prior, n_steps=cfg.n_steps, seed=cfg.seed)
+        spec, n_steps=cfg.n_steps, seed=cfg.seed)
     meta = {
-        "model_id": model_id,
+        "model": spec.record(),
         "architecture": "enca",
         "config": {**asdict(cfg), "minibatch": minibatch},
         "c_x": c_x,
@@ -195,8 +177,8 @@ def train_enca(model_id: str, cfg: EncaConfig,
     t_start = time.perf_counter()
     for step in range(cfg.steps):
         thetas = sample_prior(prior, data_rng, size=minibatch)
-        noise = draw_noise_batch(model_id, minibatch, cfg.n_steps, data_rng)
-        x = simulate_batch(model_id, thetas, noise, x0=prior.x0)
+        noise = draw_noise_batch(spec, minibatch, cfg.n_steps, data_rng)
+        x = simulate_batch(spec, thetas, noise, x0=prior.x0)
         store.zero_grad()
         try:
             loss, reg, rec = training_losses(store, thetas, noise, x, c_x)

@@ -103,11 +103,6 @@ def encode(traj, weights) -> np.ndarray:
     return encode_batch(x[None, :], weights)[0]
 
 
-def encode_replicas(x, weights) -> np.ndarray:
-    """Elementwise encoding of an (n, N) replica set; returns (n, q), order preserved."""
-    return encode_batch(x, weights)
-
-
 def encoder_subset(weights) -> dict:
     """Encoder-only view of a weights mapping (for ABC-side export)."""
     arrays = weights.arrays() if isinstance(weights, T.ParameterStore) else weights

@@ -20,12 +20,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import tensor as T
-from .encoder import encode_forward, init_encoder
+from .encoder import encode_batch, encode_forward, init_encoder
 from .errors import StatforgeError, TrainingDivergedError
 from .models import (
-    PriorSpec,
     draw_noise_batch,
-    prior_for,
+    model_spec,
     sample_prior,
     simulate_batch,
     stream,
@@ -71,11 +70,9 @@ class IncaTrainResult:
     diverged: bool = False
 
 
-def init_inca(model_id: str, q: int, rng: np.random.Generator,
-              p: int | None = None) -> T.ParameterStore:
-    p = p if p is not None else prior_for(model_id).dim
+def init_inca(model, q: int, rng: np.random.Generator) -> T.ParameterStore:
     store = init_encoder(q, rng)
-    d_in = q - p
+    d_in = q - model_spec(model).prior.dim
     if d_in > 0:
         for name, units, _act in WNET_LAYERS:
             store.add(f"wnet.{name}.weight",
@@ -165,16 +162,20 @@ def training_losses(store, thetas, x, p: int, normalize: bool = False):
     return T.add(term1, term2), term1, term2, theta_hat
 
 
-def train_inca(model_id: str, cfg: IncaConfig,
-               prior: PriorSpec | None = None) -> IncaTrainResult:
-    """Per step: draw theta batch, simulate n replicas each, encode, aggregate."""
-    prior = prior or prior_for(model_id)
+def train_inca(model, cfg: IncaConfig) -> IncaTrainResult:
+    """Per step: draw theta batch, simulate n replicas each, encode, aggregate.
+
+    ``model`` is a ModelSpec or a model id; its prior and f2 drive every
+    simulation.
+    """
+    spec = model_spec(model)
+    prior = spec.prior
     p = prior.dim
     init_rng = stream(cfg.seed, 1)
     data_rng = stream(cfg.seed, 2)
-    store = init_inca(model_id, cfg.q, init_rng, p=p)
+    store = init_inca(spec, cfg.q, init_rng)
     meta = {
-        "model_id": model_id,
+        "model": spec.record(),
         "architecture": "inca",
         "config": asdict(cfg),
         "init": "glorot-uniform conv/dense",
@@ -186,8 +187,8 @@ def train_inca(model_id: str, cfg: IncaConfig,
     for step in range(cfg.steps):
         thetas = sample_prior(prior, data_rng, size=cfg.theta_batch)
         rep_thetas = np.repeat(thetas, cfg.n_replicas, axis=0)
-        noise = draw_noise_batch(model_id, rep_thetas.shape[0], cfg.n_steps, data_rng)
-        x = simulate_batch(model_id, rep_thetas, noise, x0=prior.x0)
+        noise = draw_noise_batch(spec, rep_thetas.shape[0], cfg.n_steps, data_rng)
+        x = simulate_batch(spec, rep_thetas, noise, x0=prior.x0)
         x = x.reshape(cfg.theta_batch, cfg.n_replicas, cfg.n_steps)
         store.zero_grad()
         try:
@@ -216,8 +217,6 @@ def train_inca(model_id: str, cfg: IncaConfig,
 
 def predict_theta(weights, x_replicas: np.ndarray, p: int) -> np.ndarray:
     """Aggregated estimate for one replica set (n, N) of trajectories."""
-    from .encoder import encode_replicas
-
-    stats = encode_replicas(x_replicas, weights)
+    stats = encode_batch(x_replicas, weights)
     w = weight_fn(stats[:, p:], weights)
     return aggregate(stats, w, p).theta_hat

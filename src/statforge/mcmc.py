@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .models import PriorSpec, Trajectory, log_likelihood_fn, prior_for, stream
+from .models import PriorSpec, Trajectory, log_likelihood_fn, model_spec, stream
 from .samples import SampleSet
 
 
@@ -44,22 +44,22 @@ def metropolis_accept(log_ratio: float, u: float) -> bool:
     return np.log(u) < log_ratio
 
 
-def metropolis_run(model_id_or_loglik, prior: PriorSpec | None,
+def metropolis_run(model_or_loglik, prior: PriorSpec | None,
                    observation: Trajectory | None, cfg: McmcConfig):
     """Returns (SampleSet, post-burn-in acceptance rate).
 
-    The first argument is a benchmark model id ("nlar1"/"dynamo") evaluated
-    against ``observation``, or directly a callable theta -> log-likelihood
-    (test harnesses).
+    The first argument is a ModelSpec or a model id, whose exact likelihood
+    of ``observation`` is sampled (a ``prior`` replaces the spec's), or
+    directly a callable theta -> log-likelihood, which needs a ``prior``.
     """
-    if callable(model_id_or_loglik):
-        loglik = model_id_or_loglik
+    if callable(model_or_loglik):
+        loglik = model_or_loglik
         if prior is None:
             raise ValueError("a prior is required with a callable likelihood")
     else:
-        model_id = model_id_or_loglik
-        prior = prior or prior_for(model_id)
-        loglik = log_likelihood_fn(observation, model_id)
+        spec = model_spec(model_or_loglik, prior)
+        prior = spec.prior
+        loglik = log_likelihood_fn(observation, spec)
 
     p = prior.dim
     lower, upper = prior.lower, prior.upper

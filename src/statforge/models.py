@@ -14,6 +14,13 @@ Besides the simulators the module holds the uniform box priors, the exact
 one-step transition densities (Gaussian for nlar1, trapezoid for dynamo),
 trajectory log-likelihoods, deterministic bifurcation sweeps, and trajectory
 CSV / binary export.
+
+Everything that differs between the two models (prior, true theta, noise
+channels and how they are drawn, ENCA minibatch, the f2 map, the per-step
+map and the transition density) sits in one frozen ``ModelSpec``; ``NLAR1``
+and ``DYNAMO`` are the shipped instances.  Every public function takes a
+spec or an id from ``MODEL_IDS``, so a spec built with a configured prior or
+f2 reaches every simulation it is passed to.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 from scipy.special import erf
@@ -31,8 +39,6 @@ from .errors import (
     InvalidParameterError,
     SimulationDivergedError,
 )
-
-MODEL_IDS = ("nlar1", "dynamo")
 
 # Any iterate beyond this magnitude aborts the run: both maps are bounded for
 # in-prior parameters, so crossing it means the orbit escaped.
@@ -112,22 +118,42 @@ NLAR1_PRIOR = PriorSpec(("alpha", "sigma"), (4.2, 0.005), (5.8, 0.025), x0=0.25)
 DYNAMO_PRIOR = PriorSpec(("alpha", "delta", "eps"), (0.9, 0.05, 0.02),
                          (1.4, 0.25, 0.15), x0=1.0)
 
-# Parameter values behind the synthetic observations used in inference runs.
-TRUE_THETA = {"nlar1": np.array([5.3, 0.015]),
-              "dynamo": np.array([1.11, 0.15, 0.08])}
 
+@dataclass(frozen=True, eq=False)
+class ModelSpec:
+    """Everything that differs between the benchmark models.
 
-def prior_for(model_id: str) -> PriorSpec:
-    if model_id == "nlar1":
-        return NLAR1_PRIOR
-    if model_id == "dynamo":
-        return DYNAMO_PRIOR
-    raise ValueError(f"unknown model id {model_id!r}")
+    ``step(x, theta, noise, f2)`` advances a batch of states one step, given
+    the tuple of parameter columns and the (B, c) noise row of that step.
+    ``regressor(x, f2)`` and ``density(x_next, regressor, theta)`` are the
+    data and parameter halves of the exact transition density.
+    ``noise_draw(rng, size)`` is the Generator method that draws the bare
+    noise.  ``skeleton_noise`` is the fixed noise row of the deterministic
+    map that ``bifurcation_sweep`` iterates at the true theta.  ``f2`` is the
+    dynamo nonlinearity (None for nlar1).  Variants with another prior or
+    f2 are made with ``dataclasses.replace``.
+    """
 
+    id: str
+    prior: PriorSpec
+    true_theta: np.ndarray      # behind the synthetic observations
+    noise_channels: int
+    noise_draw: Callable
+    enca_minibatch: int
+    step: Callable
+    regressor: Callable
+    density: Callable
+    skeleton_noise: tuple
+    has_suffstats: bool = False  # closed-form sufficient statistics exist
+    f2: DynamoMap | None = None
 
-def noise_channels(model_id: str) -> int:
-    """Number of bare-noise channels per step (1 for nlar1, 2 for dynamo)."""
-    return {"nlar1": 1, "dynamo": 2}[model_id]
+    def record(self) -> dict:
+        """JSON-ready provenance: id, prior box, x0 and the f2 constants."""
+        return {"id": self.id,
+                "prior": {"names": list(self.prior.names),
+                          "lower": self.prior.lower.tolist(),
+                          "upper": self.prior.upper.tolist(), "x0": self.prior.x0},
+                "f2": None if self.f2 is None else self.f2.constants()}
 
 
 def _theta_values(theta) -> np.ndarray:
@@ -212,24 +238,22 @@ class BareNoise:
         return self.channels.shape[1]
 
 
-def draw_bare_noise(model_id: str, n_steps: int, seed_or_rng) -> BareNoise:
+def draw_bare_noise(model, n_steps: int, seed_or_rng) -> BareNoise:
     """Draw a bare-noise record; an int seed makes it exactly reproducible."""
     if isinstance(seed_or_rng, np.random.Generator):
         seed = int(seed_or_rng.integers(0, 2**63 - 1))
     else:
         seed = int(seed_or_rng)
     rng = stream(seed)
-    channels = draw_noise_batch(model_id, 1, n_steps, rng)[0]
+    channels = draw_noise_batch(model, 1, n_steps, rng)[0]
     return BareNoise(channels=channels, seed=seed)
 
 
-def draw_noise_batch(model_id: str, batch: int, n_steps: int,
+def draw_noise_batch(model, batch: int, n_steps: int,
                      rng: np.random.Generator) -> np.ndarray:
     """(batch, N, c) array of bare-noise channels."""
-    c = noise_channels(model_id)
-    if model_id == "nlar1":
-        return rng.standard_normal((batch, n_steps, c))
-    return rng.random((batch, n_steps, c))
+    spec = model_spec(model)
+    return spec.noise_draw(rng, (batch, n_steps, spec.noise_channels))
 
 
 # ---------------------------------------------------------------------------
@@ -257,83 +281,77 @@ class Trajectory:
         return np.concatenate(([self.x0], self.x[:-1]))
 
 
-def _check_noise(noise: BareNoise, model_id: str, n_steps: int):
-    want = noise_channels(model_id)
-    if noise.n_channels != want:
-        raise ValueError(f"{model_id} needs {want} noise channels, got {noise.n_channels}")
-    if noise.n_steps < n_steps:
-        raise ValueError(f"noise record too short: {noise.n_steps} < {n_steps}")
-
-
-def simulate(model_id: str, theta, noise: BareNoise, x0: float | None = None,
-             n_steps: int | None = None, f2: DynamoMap = DEFAULT_DYNAMO_MAP) -> Trajectory:
+def simulate(model, theta, noise: BareNoise, x0: float | None = None,
+             n_steps: int | None = None) -> Trajectory:
     """One trajectory: row 0 of ``simulate_batch`` on the first ``n_steps`` noise rows.
 
     Deterministic in (theta, noise).  ``x0`` defaults to the prior's initial
     condition and ``n_steps`` to the length of the noise record.
     """
-    prior = prior_for(model_id)
+    spec = model_spec(model)
+    prior = spec.prior
     theta = _theta_values(theta)
     if theta.shape != (prior.dim,):
         raise InvalidParameterError(
-            f"{model_id} expects {prior.dim} parameters, got shape {theta.shape}")
+            f"{spec.id} expects {prior.dim} parameters, got shape {theta.shape}")
     if (theta[1:] < 0).any():
         raise InvalidParameterError(f"{' and '.join(prior.names[1:])} must be >= 0")
     if x0 is None:
         x0 = prior.x0
     if n_steps is None:
         n_steps = noise.n_steps
-    _check_noise(noise, model_id, n_steps)
-    x = simulate_batch(model_id, theta[None], noise.channels[None, :n_steps], x0=x0, f2=f2)
+    if noise.n_channels != spec.noise_channels:
+        raise ValueError(f"{spec.id} needs {spec.noise_channels} noise channels, "
+                         f"got {noise.n_channels}")
+    if noise.n_steps < n_steps:
+        raise ValueError(f"noise record too short: {noise.n_steps} < {n_steps}")
+    x = simulate_batch(spec, theta[None], noise.channels[None, :n_steps], x0=x0)
     return Trajectory(x=x[0], x0=float(x0))
 
 
 def simulate_nlar1(theta, noise: BareNoise, x0: float | None = None,
                    n_steps: int | None = None) -> Trajectory:
     """Iterate x' = alpha*f(x) + sigma*eps from x0. Deterministic in (theta, noise)."""
-    return simulate("nlar1", theta, noise, x0=x0, n_steps=n_steps)
+    return simulate(NLAR1, theta, noise, x0=x0, n_steps=n_steps)
 
 
 def simulate_dynamo(theta, noise: BareNoise, x0: float | None = None,
-                    n_steps: int | None = None,
-                    f2: DynamoMap = DEFAULT_DYNAMO_MAP) -> Trajectory:
-    """Iterate x' = (alpha + delta*u)*f2(x) + eps*v from x0."""
-    return simulate("dynamo", theta, noise, x0=x0, n_steps=n_steps, f2=f2)
+                    n_steps: int | None = None) -> Trajectory:
+    """Iterate x' = (alpha + delta*u)*f2(x) + eps*v from x0 with the shipped f2."""
+    return simulate(DYNAMO, theta, noise, x0=x0, n_steps=n_steps)
 
 
-def simulate_batch(model_id: str, thetas: np.ndarray, noise: np.ndarray,
-                   x0: float | None = None,
-                   f2: DynamoMap = DEFAULT_DYNAMO_MAP) -> np.ndarray:
+def simulate_batch(model, thetas: np.ndarray, noise: np.ndarray,
+                   x0: float | None = None) -> np.ndarray:
     """Vectorized simulation of B trajectories.
 
     ``thetas`` is (B, p), ``noise`` is (B, N, c) of bare channels; returns the
     (B, N) state array.  The single-trajectory ``simulate`` is this with B=1.
     """
+    spec = model_spec(model)
     thetas = np.asarray(thetas, dtype=float)
     noise = np.asarray(noise, dtype=float)
     batch, n_steps = noise.shape[0], noise.shape[1]
-    prior = prior_for(model_id)
     if x0 is None:
-        x0 = prior.x0
+        x0 = spec.prior.x0
+    theta = tuple(thetas.T)
     x = np.empty((batch, n_steps))
     cur = np.full(batch, float(x0))
-    if model_id == "nlar1":
-        alpha, sigma = thetas[:, 0], thetas[:, 1]
-        eps = noise[:, :, 0]
-        for n in range(n_steps):
-            cur = alpha * cur * cur * (1.0 - cur) + sigma * eps[:, n]
-            _guard_batch(cur, n)
-            x[:, n] = cur
-    elif model_id == "dynamo":
-        alpha, delta, eps_amp = thetas[:, 0], thetas[:, 1], thetas[:, 2]
-        u, v = noise[:, :, 0], noise[:, :, 1]
-        for n in range(n_steps):
-            cur = (alpha + delta * u[:, n]) * f2(cur) + eps_amp * v[:, n]
-            _guard_batch(cur, n)
-            x[:, n] = cur
-    else:
-        raise ValueError(f"unknown model id {model_id!r}")
+    for n in range(n_steps):
+        cur = spec.step(cur, theta, noise[:, n], spec.f2)
+        _guard_batch(cur, n)
+        x[:, n] = cur
     return x
+
+
+def _nlar1_step(x, theta, noise, f2):
+    alpha, sigma = theta
+    return alpha * x * x * (1.0 - x) + sigma * noise[:, 0]
+
+
+def _dynamo_step(x, theta, noise, f2):
+    alpha, delta, eps_amp = theta
+    return (alpha + delta * noise[:, 0]) * f2(x) + eps_amp * noise[:, 1]
 
 
 def _guard_batch(cur: np.ndarray, n: int):
@@ -360,10 +378,8 @@ def _nlar1_density(x_next, f_prev, theta):
     return np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
 
 
-def transition_density_nlar1(x_next, x, theta):
-    """Gaussian one-step density N(alpha*f(x), sigma^2) at x_next."""
-    out = _nlar1_density(np.asarray(x_next, dtype=float), f_nlar1(x), theta)
-    return out if out.ndim else float(out)
+def _nlar1_regressor(x, f2) -> np.ndarray:
+    return f_nlar1(x)
 
 
 def _dynamo_regressor(x, f2: DynamoMap) -> np.ndarray:
@@ -404,34 +420,40 @@ def _dynamo_density(x_next, c, theta):
     return out
 
 
-def transition_density_dynamo(x_next, x, theta, f2: DynamoMap = DEFAULT_DYNAMO_MAP):
+def transition_density(model, x_next, x, theta):
+    """Exact one-step density of ``model`` at x_next given the state x."""
+    spec = model_spec(model)
+    out = spec.density(np.asarray(x_next, dtype=float), spec.regressor(x, spec.f2),
+                       theta)
+    return out if out.ndim else float(out)
+
+
+def transition_density_nlar1(x_next, x, theta):
+    """Gaussian one-step density N(alpha*f(x), sigma^2) at x_next."""
+    return transition_density(NLAR1, x_next, x, theta)
+
+
+def transition_density_dynamo(x_next, x, theta):
     """Density of A*c + E with A ~ U[alpha, alpha+delta], E ~ U[0, eps], c = f2(x).
 
     The sum of two independent uniforms gives a trapezoid supported on
     [alpha*c, alpha*c + delta*c + eps]: linear ramps of width min(delta*c, eps)
     and a flat top of height 1/max(delta*c, eps).  Either width may vanish,
     collapsing to a single uniform; both vanishing is a point mass and raises.
+    Uses the shipped f2; ``transition_density`` takes a spec with another.
     """
-    out = _dynamo_density(np.asarray(x_next, dtype=float), _dynamo_regressor(x, f2),
-                          theta)
-    return out if out.ndim else float(out)
+    return transition_density(DYNAMO, x_next, x, theta)
 
 
-def log_likelihood_fn(traj: Trajectory, model_id: str,
-                      f2: DynamoMap = DEFAULT_DYNAMO_MAP):
+def log_likelihood_fn(traj: Trajectory, model):
     """theta -> exact trajectory log-likelihood, -inf when any transition factor is 0.
 
     The data terms (the lagged states and the regressor f(x_{n-1}), or the
     clipped f2(x_{n-1}) for dynamo) are computed once here, not per theta;
     the arithmetic per theta is that of the transition densities.
     """
-    lagged = traj.lagged()
-    if model_id == "nlar1":
-        density, regressor = _nlar1_density, f_nlar1(lagged)
-    elif model_id == "dynamo":
-        density, regressor = _dynamo_density, _dynamo_regressor(lagged, f2)
-    else:
-        raise ValueError(f"unknown model id {model_id!r}")
+    spec = model_spec(model)
+    density, regressor = spec.density, spec.regressor(traj.lagged(), spec.f2)
     x_next = traj.x
 
     def loglik(theta) -> float:
@@ -443,10 +465,43 @@ def log_likelihood_fn(traj: Trajectory, model_id: str,
     return loglik
 
 
-def log_likelihood(traj: Trajectory, theta, model_id: str,
-                   f2: DynamoMap = DEFAULT_DYNAMO_MAP) -> float:
+def log_likelihood(traj: Trajectory, theta, model) -> float:
     """Exact trajectory log-likelihood; -inf when any transition factor is 0."""
-    return log_likelihood_fn(traj, model_id, f2)(theta)
+    return log_likelihood_fn(traj, model)(theta)
+
+
+# ---------------------------------------------------------------------------
+# Model specs
+# ---------------------------------------------------------------------------
+
+NLAR1 = ModelSpec(
+    id="nlar1", prior=NLAR1_PRIOR, true_theta=np.array([5.3, 0.015]),
+    noise_channels=1, noise_draw=np.random.Generator.standard_normal,
+    enca_minibatch=300, step=_nlar1_step, regressor=_nlar1_regressor,
+    density=_nlar1_density, skeleton_noise=(0.0,), has_suffstats=True)
+DYNAMO = ModelSpec(
+    id="dynamo", prior=DYNAMO_PRIOR, true_theta=np.array([1.11, 0.15, 0.08]),
+    noise_channels=2, noise_draw=np.random.Generator.random,
+    enca_minibatch=100, step=_dynamo_step, regressor=_dynamo_regressor,
+    density=_dynamo_density, skeleton_noise=(0.0, 0.5), f2=DEFAULT_DYNAMO_MAP)
+
+_SPECS = {spec.id: spec for spec in (NLAR1, DYNAMO)}
+MODEL_IDS = tuple(_SPECS)
+TRUE_THETA = {spec.id: spec.true_theta for spec in _SPECS.values()}
+
+
+def model_spec(model, prior: PriorSpec | None = None) -> ModelSpec:
+    """The spec of ``model`` (a ModelSpec or an id in MODEL_IDS), with ``prior``
+    in place of its own when one is given."""
+    if not isinstance(model, ModelSpec):
+        if model not in _SPECS:
+            raise ValueError(f"unknown model id {model!r}; expected one of {MODEL_IDS}")
+        model = _SPECS[model]
+    return model if prior is None else replace(model, prior=prior)
+
+
+def prior_for(model) -> PriorSpec:
+    return model_spec(model).prior
 
 
 # ---------------------------------------------------------------------------
@@ -472,52 +527,35 @@ class BifurcationPoint:
     diverged: bool = False
 
 
-def bifurcation_sweep(model_id: str, alpha_grid, n_transient: int = 1000,
-                      n_record: int = 128, x0: float | None = None,
-                      eps_mean: float | None = None,
-                      f2: DynamoMap = DEFAULT_DYNAMO_MAP) -> list[BifurcationPoint]:
-    """Deterministic amplitude sweep over alpha.
+def bifurcation_sweep(model, alpha_grid, n_transient: int = 1000,
+                      n_record: int = 128,
+                      x0: float | None = None) -> list[BifurcationPoint]:
+    """Deterministic amplitude sweep over alpha, all grid points at once.
 
-    nlar1 runs the noise-free map x' = alpha*f(x).  dynamo holds alpha
-    constant and replaces the additive noise by its mean, x' = alpha*f2(x) +
-    eps_mean, with eps_mean defaulting to half the true eps amplitude.
+    Runs the model's map at the true theta with alpha from the grid and the
+    noise fixed at the spec's ``skeleton_noise`` row: nlar1 runs the
+    noise-free map x' = alpha*f(x); dynamo holds alpha constant (u = 0) and
+    puts the additive noise at its mean, x' = alpha*f2(x) + eps/2.
     Divergence is recorded per grid point instead of aborting the sweep.
     """
-    prior = prior_for(model_id)
-    if x0 is None:
-        x0 = prior.x0
-    if model_id == "nlar1":
-        def step(x, a):
-            return a * x * x * (1.0 - x)
-    elif model_id == "dynamo":
-        if eps_mean is None:
-            eps_mean = float(TRUE_THETA["dynamo"][2]) / 2.0
-
-        def step(x, a):
-            return a * float(f2(x)) + eps_mean
-    else:
-        raise ValueError(f"unknown model id {model_id!r}")
-
-    points = []
-    for a in np.asarray(alpha_grid, dtype=float):
-        x = float(x0)
-        diverged = False
-        rec = np.empty(n_record)
-        try:
-            for _ in range(n_transient):
-                x = step(x, a)
-                if not np.isfinite(x) or abs(x) > DIVERGENCE_GUARD:
-                    raise SimulationDivergedError(0, x)
-            for i in range(n_record):
-                x = step(x, a)
-                if not np.isfinite(x) or abs(x) > DIVERGENCE_GUARD:
-                    raise SimulationDivergedError(0, x)
-                rec[i] = x
-        except SimulationDivergedError:
-            diverged = True
-            rec = rec[:0]
-        points.append(BifurcationPoint(alpha=float(a), values=rec, diverged=diverged))
-    return points
+    spec = model_spec(model)
+    alphas = np.asarray(alpha_grid, dtype=float)
+    thetas = np.tile(spec.true_theta, (alphas.size, 1))
+    thetas[:, 0] = alphas
+    theta = tuple(thetas.T)
+    noise = np.tile(spec.skeleton_noise, (alphas.size, 1))
+    x = np.full(alphas.size, float(spec.prior.x0 if x0 is None else x0))
+    diverged = np.zeros(alphas.size, dtype=bool)
+    rec = np.empty((alphas.size, n_record))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_transient + n_record):
+            x = spec.step(x, theta, noise, spec.f2)
+            diverged |= ~np.isfinite(x) | (np.abs(x) > DIVERGENCE_GUARD)
+            if n >= n_transient:
+                rec[:, n - n_transient] = x
+    return [BifurcationPoint(alpha=float(a), values=rec[i, :0] if bad else rec[i],
+                             diverged=bool(bad))
+            for i, (a, bad) in enumerate(zip(alphas, diverged))]
 
 
 def cluster_values(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:

@@ -200,26 +200,6 @@ def matmul(a, b):
     return _node(out_data, (a, b), bwd)
 
 
-def texp(a):
-    a = astensor(a)
-    out_data = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out_data)
-
-    return _node(out_data, (a,), bwd)
-
-
-def tlog(a):
-    a = astensor(a)
-    out_data = np.log(a.data)
-
-    def bwd(g):
-        _accum(a, g / a.data)
-
-    return _node(out_data, (a,), bwd)
-
-
 def tanh(a):
     a = astensor(a)
     out_data = np.tanh(a.data)

@@ -26,6 +26,7 @@ from statforge.models import (
     NLAR1_PRIOR,
     PriorSpec,
     draw_bare_noise,
+    model_spec,
     prior_for,
     sample_prior,
     simulate_batch,
@@ -91,7 +92,7 @@ class TestStandardizer:
 
     def test_fit_requires_enough_sims(self):
         with pytest.raises(ValueError):
-            fit_standardizer("nlar1", NLAR1_PRIOR, stats_fn_suffstats(), m=100)
+            fit_standardizer("nlar1", stats_fn_suffstats(), m=100)
 
 
 class TestDistance:
@@ -240,7 +241,7 @@ class TestModelStatSim:
         particles = np.array([0, 2, 3, 7, 11, 40])
         thetas = sample_prior(prior, stream(8, 1), size=particles.size)
         seed, sweep, n = 29, 4, 60
-        sim = _model_stat_sim(model_id, prior, lambda x, x0: x, seed, n)
+        sim = _model_stat_sim(model_spec(model_id), lambda x, x0: x, seed, n)
         noise = []
         for pid in particles:
             g = stream(seed, NOISE_TAG, sweep, int(pid))

@@ -291,7 +291,7 @@ def test_criterion_07_abc_sufficient_stats_vs_truth():
 def test_criterion_08_enca_desk_scale():
     t0 = time.perf_counter()
     weights = encoder_subset(cached_enca("nlar1", ENCA_NLAR1_CFG))
-    table = regression_scatter(weights, "nlar1", None, m=4000, seed=12345,
+    table = regression_scatter(weights, "nlar1", m=4000, seed=12345,
                                n_steps=100)
     r_alpha, r_sigma = table["pearson"]
     prior = NLAR1_PRIOR
@@ -324,13 +324,13 @@ def test_criterion_09_inca_desk_scale():
     est = np.array([predict_theta(weights, x[i], p=2) for i in range(800)])
     r = [pearson(est[:, j], thetas[:, j]) for j in range(2)]
     # aggregator permutation invariance, bit-exact, on encoded statistics
-    from statforge.encoder import encode_replicas
+    from statforge.encoder import encode_batch
     from statforge.inca import weight_fn
 
     perm_ok = True
     prng = np.random.default_rng(9)
     for i in range(20):
-        stats = encode_replicas(x[i], weights)
+        stats = encode_batch(x[i], weights)
         w = weight_fn(stats[:, 2:], weights)
         base = aggregate(stats, w, p=2).theta_hat
         base_loss = inca_loss(stats, base, thetas[i])

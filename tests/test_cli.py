@@ -4,11 +4,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from statforge.abcsampler import (
+    AbcConfig,
+    fit_standardizer,
+    sabc_run,
+    stats_fn_from_weights,
+)
 from statforge.cli import main
-from statforge.encoder import init_encoder
-from statforge.models import trajectory_from_csv
+from statforge.config import load_config, model_spec_from_config
+from statforge.enca import EncaConfig, train_enca
+from statforge.encoder import MIN_INPUT_LENGTH, encoder_subset, init_encoder
+from statforge.mcmc import McmcConfig, metropolis_run
+from statforge.models import (
+    DEFAULT_DYNAMO_MAP,
+    TRUE_THETA,
+    draw_bare_noise,
+    simulate,
+    trajectory_from_csv,
+)
 from statforge.samples import sample_set_from_csv
-from statforge.tensor import save_weights
+from statforge.tensor import load_weights, save_weights
 
 
 def run(argv):
@@ -157,6 +172,113 @@ class TestMalformedTrajectoryCsv:
         err = capsys.readouterr().err
         assert err.count("usage error: --observation") == 1
         assert err.count("usage error: --input") == 1
+
+
+class TestShortTrajectory:
+    """A trajectory shorter than the encoder's minimum input is a usage error."""
+
+    def write(self, path, n_steps):
+        x = np.linspace(0.1, 0.3, n_steps)
+        path.write_text("step,x\n0,0.25\n" + "".join(
+            f"{i},{float(v)!r}\n" for i, v in enumerate(x, start=1)))
+        return path
+
+    def test_encode_and_abc_exit_2(self, tmp_path, capsys):
+        weights = tmp_path / "w.sfwt"
+        save_weights(weights, init_encoder(3, np.random.default_rng(0)))
+        for n_steps in (2, MIN_INPUT_LENGTH - 1):
+            short = self.write(tmp_path / f"short{n_steps}.csv", n_steps)
+            assert run(["encode", "--weights", weights, "--input", short,
+                        "--out", tmp_path / "enc"]) == 2
+            assert run(["abc", "--model", "nlar1", "--weights", weights,
+                        "--observation", short, "--budget", "100",
+                        "--population", "20", "--out", tmp_path / "abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"at least {MIN_INPUT_LENGTH} are needed") == 4
+        assert "Traceback" not in err
+        ok = self.write(tmp_path / "ok.csv", MIN_INPUT_LENGTH)
+        assert run(["encode", "--weights", weights, "--input", ok,
+                    "--out", tmp_path / "enc_ok"]) == 0
+
+
+class TestConfiguredDynamoMap:
+    """The [dynamo_f2] constants reach every simulation and are recorded as run."""
+
+    F2 = "[dynamo_f2]\nx1 = 0.4\nd1 = 0.2\nx2 = 1.2\nd2 = 0.3\n"
+    CUSTOM = {"x1": 0.4, "d1": 0.2, "x2": 1.2, "d2": 0.3, "source": "config"}
+
+    @pytest.fixture
+    def f2_config(self, tmp_path):
+        path = tmp_path / "f2.ini"
+        path.write_text(self.F2)
+        return path
+
+    def test_spec_records_the_source(self, f2_config):
+        shipped = model_spec_from_config(load_config(), "dynamo")
+        assert shipped.f2 == DEFAULT_DYNAMO_MAP
+        assert shipped.record()["f2"]["source"] == "calibrated"
+        custom = model_spec_from_config(load_config(f2_config), "dynamo")
+        assert custom.record()["f2"] == self.CUSTOM
+        assert model_spec_from_config(load_config(f2_config), "nlar1").f2 is None
+
+    def test_library_outputs_follow_the_map(self, f2_config):
+        specs = [model_spec_from_config(load_config(path), "dynamo")
+                 for path in (None, f2_config)]
+        # generated under the configured map; its likelihood is also
+        # finite for some prior draws under the shipped one
+        obs = simulate(specs[1], TRUE_THETA["dynamo"], draw_bare_noise("dynamo", 60, 0))
+        stats_fn = stats_fn_from_weights(
+            encoder_subset(init_encoder(3, np.random.default_rng(0))))
+        centers = [fit_standardizer(spec, stats_fn, m=1000, n_steps=60).center
+                   for spec in specs]
+        assert not np.array_equal(*centers)
+        # one standardizer for both runs, so the draws differ only through
+        # the particles' own simulations
+        std = fit_standardizer(specs[0], stats_fn, m=1000, n_steps=60)
+        runs = []
+        for spec in specs:
+            trained = train_enca(spec, EncaConfig(q=3, minibatch=8, steps=2, seed=1,
+                                                  n_steps=40))
+            abc, _ = sabc_run(spec, None, stats_fn, obs,
+                              AbcConfig(population=20, budget=100, seed=2, n_steps=60),
+                              std=std)
+            mc, _ = metropolis_run(spec, None, obs, McmcConfig(chain_length=2000, seed=3))
+            runs.append((trained.store.arrays(), abc.draws, mc.draws))
+        (w0, abc0, mc0), (w1, abc1, mc1) = runs
+        assert not any(np.array_equal(w0[k], w1[k]) for k in w0
+                       if k.startswith("encoder."))
+        assert not np.array_equal(abc0, abc1)
+        assert not np.array_equal(mc0, mc1)
+
+    def test_cli_runs_follow_and_record_the_map(self, tmp_path, f2_config):
+        obs = tmp_path / "obs"
+        assert run(["simulate", "--model", "dynamo", "--n-steps", "60", "--seed", "0",
+                    "--config", f2_config, "--out", obs]) == 0
+        observation = obs / "trajectory.csv"
+        samples = {}
+        for tag, extra in (("calibrated", []), ("config", ["--config", f2_config])):
+            out = tmp_path / tag
+            assert run(["mcmc", "--model", "dynamo", "--observation", observation,
+                        "--chain-length", "2000", "--seed", "1", "--out", out]
+                       + extra) == 0
+            samples[tag] = (out / "samples.csv").read_bytes()
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["model_spec"]["f2"]["source"] == tag
+        assert samples["calibrated"] != samples["config"]
+
+        train = tmp_path / "train"
+        assert run(["train-enca", "--model", "dynamo", "--q", "3", "--steps", "2",
+                    "--minibatch", "8", "--n-steps", "60", "--seed", "3",
+                    "--config", f2_config, "--out", train]) == 0
+        _, header = load_weights(train / "weights.sfwt")
+        assert header["meta"]["model"]["f2"] == self.CUSTOM
+        abc = tmp_path / "abc"
+        assert run(["abc", "--model", "dynamo", "--observation", observation,
+                    "--weights", train / "weights.sfwt", "--budget", "100",
+                    "--population", "20", "--seed", "4", "--config", f2_config,
+                    "--out", abc]) == 0
+        manifest = json.loads((abc / "manifest.json").read_text())
+        assert manifest["config"]["model_spec"]["f2"] == self.CUSTOM
 
 
 class TestBlasThreads:

@@ -174,7 +174,7 @@ class TestScatterTables:
         # an encoder that returns theta exactly would give r = 1; emulate by
         # checking the pearson column against suffstats on simulated data
         weights = init_encoder(3, np.random.default_rng(0)).arrays()
-        table = regression_scatter(weights, "nlar1", None, m=64, seed=1, n_steps=50)
+        table = regression_scatter(weights, "nlar1", m=64, seed=1, n_steps=50)
         assert table["theta"].shape == (64, 2)
         assert table["stats"].shape == (64, 3)
         assert table["suffstats"].shape == (64, 3)
@@ -203,7 +203,7 @@ class TestScatterTables:
 
     def test_latent_scatter_labels_both_classes(self):
         weights = init_encoder(3, np.random.default_rng(1)).arrays()
-        table = latent_scatter(weights, "nlar1", None, m=200, seed=3, n_steps=200,
+        table = latent_scatter(weights, "nlar1", m=200, seed=3, n_steps=200,
                                pilot=300)
         assert table["tau"] is not None
         labels = table["labels"]
@@ -215,7 +215,7 @@ class TestScatterTables:
     def test_latent_scatter_rejects_dynamo(self):
         weights = init_encoder(3, np.random.default_rng(1)).arrays()
         with pytest.raises(ValueError):
-            latent_scatter(weights, "dynamo", None, m=10)
+            latent_scatter(weights, "dynamo", m=10)
 
 
 class TestReconstructionOverlay:

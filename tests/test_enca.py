@@ -8,14 +8,24 @@ from statforge.enca import (
     EncaConfig,
     decode_forward,
     enca_decode,
-    enca_loss,
     estimate_cx,
     init_enca,
     train_enca,
     training_losses,
 )
+from statforge.encoder import encode_forward
 from statforge.models import draw_bare_noise, draw_noise_batch, sample_prior, \
     simulate_batch, prior_for, stream
+
+
+def enca_loss(s, theta, x_hat, x, c_x: float) -> float:
+    """Numpy oracle of one sample's joint loss: regression plus reconstruction term."""
+    s, theta, x_hat, x = (np.asarray(a, dtype=float) for a in (s, theta, x_hat, x))
+    p = theta.shape[0]
+    reg = float(np.mean(((s[:p] - theta) / theta) ** 2))
+    denom = np.maximum(np.abs(x), c_x)
+    rec = float(np.mean(((x_hat - x) / denom) ** 2))
+    return reg + rec
 
 
 @pytest.fixture
@@ -87,6 +97,22 @@ class TestEncaLoss:
         x_hat = np.array([0.05])
         val = enca_loss(np.array([1.0]), theta, x_hat, x, c_x=0.05)
         assert val == pytest.approx(((0.05 - 1e-9) / 0.05) ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
+    def test_training_loss_is_batch_mean_of_oracle(self, model_id):
+        # the tensor loss of a minibatch is the mean of the per-sample oracle
+        rng = np.random.default_rng(5)
+        store = init_enca(model_id, 4, rng)
+        prior = prior_for(model_id)
+        thetas = sample_prior(prior, rng, size=6)
+        noise = draw_noise_batch(model_id, 6, 40, rng)
+        x = simulate_batch(model_id, thetas, noise, x0=prior.x0)
+        loss, _, _ = training_losses(store, thetas, noise, x, c_x=0.03)
+        s = encode_forward(store.params, T.Tensor(x[..., None]))
+        x_hat = decode_forward(store.params, s, noise).data
+        per_sample = [enca_loss(s.data[b], thetas[b], x_hat[b], x[b], 0.03)
+                      for b in range(6)]
+        assert float(loss.data) == pytest.approx(np.mean(per_sample), rel=1e-12)
 
 
 class TestDecoderGradients:

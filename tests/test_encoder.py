@@ -7,7 +7,6 @@ from statforge.encoder import (
     encode,
     encode_batch,
     encode_forward,
-    encode_replicas,
     encoder_subset,
     infer_q,
     init_encoder,
@@ -75,19 +74,19 @@ class TestEncode:
 class TestReplicas:
     def test_single_replica_matches_encode(self, weights):
         traj = simulate_nlar1((5.2, 0.02), draw_bare_noise("nlar1", 80, 9))
-        out = encode_replicas(traj.x[None], weights)
+        out = encode_batch(traj.x[None], weights)
         assert out.shape == (1, 3)
         assert np.array_equal(out[0], encode(traj, weights))
 
     def test_permutation_equivariance(self, weights):
         x = np.random.default_rng(11).random((5, 64))
-        out = encode_replicas(x, weights)
+        out = encode_batch(x, weights)
         perm = np.array([3, 0, 4, 1, 2])
-        out_p = encode_replicas(x[perm], weights)
+        out_p = encode_batch(x[perm], weights)
         assert np.array_equal(out_p, out[perm])
 
     def test_shape(self, weights):
-        out = encode_replicas(np.random.default_rng(0).random((5, 200)), weights)
+        out = encode_batch(np.random.default_rng(0).random((5, 200)), weights)
         assert out.shape == (5, 3)
 
 

@@ -209,10 +209,10 @@ class TestTraining:
         thetas = np.array([[5.0, 0.02], [5.5, 0.01]])
         x = rng.random((2, 3, 40))
         loss, _, _, _ = training_losses(store, thetas, x, p=2)
-        from statforge.encoder import encode_replicas
+        from statforge.encoder import encode_batch
         total = 0.0
         for i in range(2):
-            stats = encode_replicas(x[i], store.arrays())
+            stats = encode_batch(x[i], store.arrays())
             w = weight_fn(stats[:, 2:], store.arrays())
             est = aggregate(stats, w, p=2)
             total += inca_loss(stats, est, thetas[i])
@@ -223,7 +223,7 @@ class TestTraining:
         store = init_inca("nlar1", 3, rng)
         x = rng.random((5, 60))
         est = predict_theta(store.arrays(), x, p=2)
-        from statforge.encoder import encode_replicas
-        stats = encode_replicas(x, store.arrays())
+        from statforge.encoder import encode_batch
+        stats = encode_batch(x, store.arrays())
         assert np.all(est >= stats[:, :2].min(axis=0) - 1e-12)
         assert np.all(est <= stats[:, :2].max(axis=0) + 1e-12)

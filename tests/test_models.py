@@ -8,13 +8,20 @@ from statforge.errors import (
     InvalidParameterError,
     SimulationDivergedError,
 )
+from dataclasses import replace
+
 from statforge.models import (
     DEFAULT_DYNAMO_MAP,
     DIVERGENCE_GUARD,
+    DYNAMO,
     DYNAMO_PRIOR,
+    MODEL_IDS,
+    NLAR1,
     NLAR1_PRIOR,
     TRUE_THETA,
     BareNoise,
+    DynamoMap,
+    ModelSpec,
     PriorSpec,
     Trajectory,
     bifurcation_sweep,
@@ -25,6 +32,7 @@ from statforge.models import (
     load_trajectory_batch,
     log_likelihood,
     log_likelihood_fn,
+    model_spec,
     prior_for,
     row_streams,
     sample_prior,
@@ -36,6 +44,7 @@ from statforge.models import (
     stream,
     trajectory_from_csv,
     trajectory_to_csv,
+    transition_density,
     transition_density_dynamo,
     transition_density_nlar1,
 )
@@ -506,6 +515,101 @@ class TestBifurcationSweep:
     def test_divergence_not_fatal(self):
         pts = bifurcation_sweep("nlar1", [4.5, 1e9], 10, 4, x0=0.6)
         assert not pts[0].diverged and pts[1].diverged
+
+
+def reference_bifurcation(model_id, alpha_grid, n_transient, n_record, x0=None):
+    """Per-point scalar loop of the deterministic maps: the oracle for
+    ``bifurcation_sweep``."""
+    x0 = prior_for(model_id).x0 if x0 is None else x0
+    eps_mean = float(TRUE_THETA["dynamo"][2]) / 2.0
+    points = []
+    for a in np.asarray(alpha_grid, dtype=float):
+        x, rec = float(x0), []
+        for i in range(n_transient + n_record):
+            if model_id == "nlar1":
+                x = a * x * x * (1.0 - x)
+            else:
+                x = a * float(DEFAULT_DYNAMO_MAP(x)) + eps_mean
+            if not np.isfinite(x) or abs(x) > DIVERGENCE_GUARD:
+                rec = None
+                break
+            if i >= n_transient:
+                rec.append(x)
+        points.append((float(a), rec))
+    return points
+
+
+class TestBifurcationOracle:
+    @pytest.mark.parametrize("model_id,grid,x0s,steps", [
+        ("nlar1", np.linspace(3.9, 6.2, 60), (None, 0.6, 2.0 / 3.0, -0.5, 1.0), (300, 32)),
+        ("nlar1", [4.5, 1e9, -3.0, 7.0], (0.6,), (300, 32)),
+        # 1e9 passes the guard at step 1 but stays finite until step 3
+        ("nlar1", [4.5, 1e9], (0.6,), (0, 2)),
+        ("dynamo", np.linspace(0.8, 1.5, 60), (None, 0.2, 2.0), (300, 32)),
+    ])
+    def test_matches_scalar_loops(self, model_id, grid, x0s, steps):
+        for x0 in x0s:
+            got = bifurcation_sweep(model_id, grid, *steps, x0=x0)
+            want = reference_bifurcation(model_id, grid, *steps, x0=x0)
+            assert len(got) == len(want)
+            for pt, (alpha, rec) in zip(got, want):
+                assert pt.alpha == alpha
+                assert pt.diverged == (rec is None)
+                expected = np.array([] if rec is None else rec)
+                assert pt.values.tobytes() == expected.tobytes(), (alpha, x0)
+
+
+CUSTOM_F2 = DynamoMap(x1=0.4, d1=0.2, x2=1.2, d2=0.3, source="config")
+
+
+class TestModelSpec:
+    def test_resolver(self):
+        assert MODEL_IDS == ("nlar1", "dynamo")
+        assert model_spec("nlar1") is NLAR1 and model_spec(DYNAMO) is DYNAMO
+        for spec in (NLAR1, DYNAMO):
+            assert isinstance(spec, ModelSpec)
+            assert TRUE_THETA[spec.id] is spec.true_theta
+            assert prior_for(spec.id) is spec.prior
+            assert spec.prior.contains(spec.true_theta)
+        assert NLAR1.f2 is None and DYNAMO.f2 is DEFAULT_DYNAMO_MAP
+        for bad in ("nope", "NLAR1", None):
+            with pytest.raises(ValueError, match="unknown model id"):
+                model_spec(bad)
+
+    def test_prior_override(self):
+        box = PriorSpec(("alpha", "sigma"), (5.0, 0.01), (5.5, 0.02), x0=0.3)
+        spec = model_spec("nlar1", box)
+        assert spec.prior is box and spec.step is NLAR1.step
+        assert model_spec(NLAR1, None) is NLAR1
+
+    def test_noise_draw_per_model(self):
+        for spec, draw in ((NLAR1, "standard_normal"), (DYNAMO, "random")):
+            got = draw_noise_batch(spec, 3, 7, stream(4, 0))
+            want = getattr(stream(4, 0), draw)((3, 7, spec.noise_channels))
+            assert got.tobytes() == want.tobytes()
+
+    def test_custom_f2_reaches_simulator_and_density(self):
+        spec = replace(DYNAMO, f2=CUSTOM_F2)
+        noise = draw_bare_noise(spec, 80, 5)
+        theta = TRUE_THETA["dynamo"]
+        traj = simulate(spec, theta, noise)
+        want = reference_dynamo(theta, noise, f2=CUSTOM_F2)
+        assert traj.x.tobytes() == want.tobytes()
+        assert traj.x.tobytes() != simulate_dynamo(theta, noise).x.tobytes()
+        dens = transition_density(spec, traj.x, traj.lagged(), theta)
+        ref = DYNAMO.density(traj.x, np.maximum(CUSTOM_F2(traj.lagged()), 0.0), theta)
+        assert dens.tobytes() == ref.tobytes()
+        assert log_likelihood(traj, theta, spec) == float(np.log(dens).sum())
+        assert log_likelihood(traj, theta, "dynamo") != log_likelihood(traj, theta, spec)
+
+    def test_record_is_json_ready(self):
+        import json
+
+        rec = json.loads(json.dumps(replace(DYNAMO, f2=CUSTOM_F2).record()))
+        assert rec["id"] == "dynamo"
+        assert rec["prior"]["names"] == ["alpha", "delta", "eps"]
+        assert rec["f2"] == CUSTOM_F2.constants()
+        assert json.loads(json.dumps(NLAR1.record()))["f2"] is None
 
 
 class TestTrajectoryIO:
