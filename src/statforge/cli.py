@@ -73,6 +73,15 @@ def _parse_theta(text: str) -> np.ndarray:
         raise UsageError(f"--theta: expected comma-separated floats, got {text!r}") from err
 
 
+def _encoder_n_steps(n_steps: int) -> int:
+    """Trajectory length for a run that encodes trajectories; shorter than
+    the encoder's minimum input length is a UsageError."""
+    if n_steps < MIN_INPUT_LENGTH:
+        raise UsageError(f"n_steps = {n_steps} is too short for the encoder; "
+                         f"at least {MIN_INPUT_LENGTH} are needed")
+    return n_steps
+
+
 def _read_trajectory(path, flag: str, min_steps: int = 1) -> Trajectory:
     """Trajectory CSV named by ``flag``; a missing or malformed file, or one with
     fewer than ``min_steps`` steps after x0, is a UsageError."""
@@ -226,7 +235,8 @@ def cmd_train_enca(args) -> int:
         else cfgmod.config_get(cfg, "enca", "steps", int, 1000),
         lr=args.lr or cfgmod.config_get(cfg, "enca", "lr", float, 1e-3),
         seed=seed,
-        n_steps=args.n_steps or cfgmod.config_get(cfg, "model", "n_steps", int, 200),
+        n_steps=_encoder_n_steps(
+            args.n_steps or cfgmod.config_get(cfg, "model", "n_steps", int, 200)),
         c_x=args.c_x,
         log_every=cfgmod.config_get(cfg, "enca", "log_every", int, 100),
     )
@@ -251,7 +261,8 @@ def cmd_train_inca(args) -> int:
         else cfgmod.config_get(cfg, "inca", "steps", int, 1000),
         lr=args.lr or cfgmod.config_get(cfg, "inca", "lr", float, 1e-3),
         seed=seed,
-        n_steps=args.n_steps or cfgmod.config_get(cfg, "model", "n_steps", int, 200),
+        n_steps=_encoder_n_steps(
+            args.n_steps or cfgmod.config_get(cfg, "model", "n_steps", int, 200)),
         log_every=cfgmod.config_get(cfg, "inca", "log_every", int, 100),
     )
     with _limit_threads(1) as blas_threads:
@@ -423,16 +434,17 @@ def cmd_diagnose(args) -> int:
         input_hashes[args.distances] = cfgmod.sha256_of_file(args.distances)
         did_anything = True
     if args.weights and args.scatter:
+        n_steps = _encoder_n_steps(args.n_steps or 200)
         arrays, _ = _require_weights(args.weights)
         weights = encoder_subset(arrays)
         seed = _global_seed(args)
         table = diagnostics.regression_scatter(weights, spec, m=args.scatter,
-                                               seed=seed, n_steps=args.n_steps or 200)
+                                               seed=seed, n_steps=n_steps)
         (out / "regression.csv").write_text(diagnostics.regression_scatter_csv(table))
         extra["pearson"] = table["pearson"].tolist()
         if spec.has_suffstats:
             latent = diagnostics.latent_scatter(weights, spec, m=args.scatter,
-                                                seed=seed, n_steps=args.n_steps or 200)
+                                                seed=seed, n_steps=n_steps)
             (out / "latent.csv").write_text(diagnostics.latent_scatter_csv(latent))
         input_hashes[args.weights] = cfgmod.sha256_of_file(args.weights)
         did_anything = True

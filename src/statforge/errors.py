@@ -25,7 +25,8 @@ class InvalidParameterError(StatforgeError):
 
 
 class DegenerateLikelihoodError(StatforgeError):
-    """Transition distribution collapses to a point mass."""
+    """The likelihood is unusable: a transition distribution collapses to a
+    point mass, or no prior draw gives the observation a finite likelihood."""
 
 
 class UndefinedStatisticError(StatforgeError):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .errors import DegenerateLikelihoodError
 from .models import PriorSpec, Trajectory, log_likelihood_fn, model_spec, stream
 from .samples import SampleSet
 
@@ -51,6 +52,8 @@ def metropolis_run(model_or_loglik, prior: PriorSpec | None,
     The first argument is a ModelSpec or a model id, whose exact likelihood
     of ``observation`` is sampled (a ``prior`` replaces the spec's), or
     directly a callable theta -> log-likelihood, which needs a ``prior``.
+    Raises DegenerateLikelihoodError when no prior draw tried as a starting
+    point has a finite likelihood.
     """
     if callable(model_or_loglik):
         loglik = model_or_loglik
@@ -76,7 +79,8 @@ def metropolis_run(model_or_loglik, prior: PriorSpec | None,
         ll = loglik(theta)
         tries += 1
         if tries > 1000:
-            raise RuntimeError("could not find a starting point with finite likelihood")
+            raise DegenerateLikelihoodError(
+                "none of 1001 prior draws gives the observation a finite likelihood")
 
     log_factor = 0.0
     step_factor = np.exp(log_factor)

@@ -9,7 +9,9 @@ no compiled variant); forward passes are deterministic and single-threaded
 training is bit-reproducible.
 
 Graphs are built only while some input requires gradients, so the same ops
-double as a plain (graph-free) inference path.
+double as a plain (graph-free) inference path.  The BiLSTM keeps its work
+buffers in a module-level spare list between training steps, so training
+runs from one thread at a time.
 """
 
 from __future__ import annotations
@@ -458,33 +460,82 @@ def dense(x, weights, bias, activation: str = "linear"):
 # fused bidirectional LSTM
 # ---------------------------------------------------------------------------
 
+# Work buffers of finished BiLSTM nodes, newest last.  `bilstm`'s backward
+# gives its buffers back once it has run (backward runs at most once per
+# graph), and the next forward takes them again by shape, so a training step
+# reuses the memory of the one before instead of faulting in fresh pages.  A
+# graph that never runs backward keeps its buffers until it is freed.  The
+# list holds at most one ENCA step's buffers: per layer the input stack,
+# gates, h and c states and tanh(c), plus the GEMM staging matrix and the
+# output gradient that both layers share; past that the oldest are dropped.
+_SPARE: list[np.ndarray] = []
+_SPARE_MAX = 12
+
+
+def _take(shape) -> np.ndarray:
+    """A spare buffer of this shape (contents undefined), else a new one."""
+    shape = tuple(shape)
+    for k in range(len(_SPARE) - 1, -1, -1):
+        if _SPARE[k].shape == shape:
+            return _SPARE.pop(k)
+    return np.empty(shape)
+
+
+def _give(*arrays: np.ndarray):
+    """Return buffers nothing reads any more to the spare list."""
+    _SPARE.extend(arrays)
+    del _SPARE[:-_SPARE_MAX]
+
+
+def _gate_affine(hidden: int):
+    """Per-column (scale, shift) turning tanh into the gate activations.
+
+    On the sigmoid columns, 0.5 * (tanh(0.5 * z) + 1.0) is the sigmoid; on the
+    cell-candidate columns, 1.0 * (tanh(1.0 * z) + -0.0) is tanh(z) exactly,
+    for -0.0 too.  So one contiguous pass over the (D, B, 4H) row gives the
+    same bits as separate passes over the gate blocks.
+    """
+    h3 = 3 * hidden
+    scale = np.full(4 * hidden, 1.0)
+    scale[:h3] = 0.5
+    shift = np.full(4 * hidden, -0.0)
+    shift[:h3] = 1.0
+    return scale, shift
+
+
 def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
     """LSTM over stacked directions: x (D, B, T, C) with weights (D, C, 4H),
     (D, H, 4H), (D, 4H); returns (T, D, B, H) and a BPTT cache.
 
     All D directions advance together each time step.  Gate layout along the
     4H axis is (input, forget, output, cell-candidate) so the three sigmoid
-    gates form one contiguous block; initial states are zero.
+    gates form one contiguous block; initial states are zero.  The gates are
+    computed in place over their pre-activations, x @ wx + b is written
+    straight into them, and every array comes from the spare list; the
+    cache holds them until `_lstm_backward` consumes it.
     """
     d, batch, n_steps, c_in = x.shape
     hidden = wh.shape[1]
     h3 = 3 * hidden
-    xw = np.matmul(x.reshape(d, batch * n_steps, c_in), wx)
-    xw = xw.reshape(d, batch, n_steps, 4 * hidden) + b[:, None, None, :]
-    xw = np.ascontiguousarray(xw.transpose(2, 0, 1, 3))  # (T, D, B, 4H)
-    h_seq = np.zeros((n_steps + 1, d, batch, hidden))
-    c_seq = np.zeros((n_steps + 1, d, batch, hidden))
-    gates = np.empty((n_steps, d, batch, 4 * hidden))
-    tanh_c = np.empty((n_steps, d, batch, hidden))
+    scale, shift = _gate_affine(hidden)
+    xw = np.matmul(x.reshape(d, batch * n_steps, c_in), wx,
+                   out=_take((d, batch * n_steps, 4 * hidden)))
+    gates = _take((n_steps, d, batch, 4 * hidden))
+    np.add(xw.reshape(d, batch, n_steps, 4 * hidden).transpose(2, 0, 1, 3),
+           b[None, :, None, :], out=gates)
+    _give(xw)
+    h_seq = _take((n_steps + 1, d, batch, hidden))
+    c_seq = _take((n_steps + 1, d, batch, hidden))
+    h_seq[0] = 0.0
+    c_seq[0] = 0.0
+    tanh_c = _take((n_steps, d, batch, hidden))
     for t in range(n_steps):
-        z = xw[t]
-        z += h_seq[t] @ wh
         gate = gates[t]
-        np.multiply(z[..., :h3], 0.5, out=gate[..., :h3])
-        np.tanh(gate[..., :h3], out=gate[..., :h3])
-        gate[..., :h3] += 1.0
-        gate[..., :h3] *= 0.5
-        np.tanh(z[..., h3:], out=gate[..., h3:])
+        gate += h_seq[t] @ wh
+        gate *= scale
+        np.tanh(gate, out=gate)
+        gate += shift
+        gate *= scale
         i = gate[..., :hidden]
         f = gate[..., hidden:2 * hidden]
         o = gate[..., 2 * hidden:h3]
@@ -500,39 +551,49 @@ def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
 
 
 def _lstm_backward(cache, d_out: np.ndarray):
-    """BPTT for `_lstm_forward`; d_out is (T, D, B, H)."""
+    """BPTT for `_lstm_forward`; d_out is (T, D, B, H).
+
+    Consumes the cache: each step's gate gradients overwrite its gates, and
+    d_x overwrites x.  Afterwards every cache array is free for reuse.
+    """
     x, wx, wh, h_seq, c_seq, gates, tanh_c = cache
     d, batch, n_steps, c_in = x.shape
     hidden = wh.shape[1]
     h3 = 3 * hidden
-    d_xw = np.empty((n_steps, d, batch, 4 * hidden))
     d_wh = np.zeros_like(wh)
     dh_next = np.zeros((d, batch, hidden))
     dc_next = np.zeros((d, batch, hidden))
+    # per sigmoid gate s with upstream term u, dz = (u * s) * (1 - s): the
+    # three u go side by side so that one pass covers the whole block
+    u = np.empty((d, batch, h3))
     for t in range(n_steps - 1, -1, -1):
-        gate = gates[t]
-        i = gate[..., :hidden]
-        f = gate[..., hidden:2 * hidden]
-        o = gate[..., 2 * hidden:h3]
-        g = gate[..., h3:]
+        dz = gates[t]
+        sig = dz[..., :h3]
+        i = dz[..., :hidden]
+        f = dz[..., hidden:2 * hidden]
+        o = dz[..., 2 * hidden:h3]
+        g = dz[..., h3:]
         tc = tanh_c[t]
         dh = d_out[t] + dh_next
-        do = dh * tc
+        np.multiply(dh, tc, out=u[..., 2 * hidden:])
         dc = dc_next + dh * o * (1.0 - tc * tc)
-        dz = d_xw[t]
-        dz[..., :hidden] = (dc * g) * i * (1.0 - i)
-        dz[..., hidden:2 * hidden] = (dc * c_seq[t]) * f * (1.0 - f)
-        dz[..., 2 * hidden:h3] = do * o * (1.0 - o)
-        dz[..., h3:] = (dc * i) * (1.0 - g * g)
+        np.multiply(dc, g, out=u[..., :hidden])
+        np.multiply(dc, c_seq[t], out=u[..., hidden:2 * hidden])
         dc_next = dc * f
+        one_minus = 1.0 - sig
+        np.multiply(dc * i, 1.0 - g * g, out=g)
+        sig *= u
+        sig *= one_minus
         d_wh += h_seq[t].transpose(0, 2, 1) @ dz
         dh_next = dz @ wh.transpose(0, 2, 1)
-    d_xw_flat = np.ascontiguousarray(d_xw.transpose(1, 2, 0, 3)).reshape(
-        d, batch * n_steps, 4 * hidden)
+    d_xw_flat = _take((d, batch * n_steps, 4 * hidden))
+    np.copyto(d_xw_flat.reshape(d, batch, n_steps, 4 * hidden),
+              gates.transpose(1, 2, 0, 3))
     x_flat = x.reshape(d, batch * n_steps, c_in)
     d_wx = np.matmul(x_flat.transpose(0, 2, 1), d_xw_flat)
     d_b = d_xw_flat.sum(axis=1)
-    d_x = np.matmul(d_xw_flat, wx.transpose(0, 2, 1)).reshape(x.shape)
+    d_x = np.matmul(d_xw_flat, wx.transpose(0, 2, 1), out=x_flat).reshape(x.shape)
+    _give(d_xw_flat)
     return d_x, d_wx, d_wh, d_b
 
 
@@ -540,14 +601,19 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
     """Bidirectional LSTM: (B, T, C) -> (B, T, 2*units), zero initial states.
 
     The two directions have independent weights; per-step outputs are
-    concatenated (forward direction first).
+    concatenated (forward direction first).  The work buffers come from the
+    spare list and go back to it when this node's backward has run, so
+    repeated training steps reuse them; the output is always a new array.
     """
     x = astensor(x)
     params = [astensor(p) for p in (wx_f, wh_f, b_f, wx_b, wh_b, b_b)]
     wxf, whf, bf, wxb, whb, bb = params
     squeeze = x.data.ndim == 2
     xd = x.data[None] if squeeze else x.data
-    x2 = np.stack([xd, xd[:, ::-1]])
+    batch, n_steps = xd.shape[:2]
+    x2 = _take((2,) + xd.shape)
+    x2[0] = xd
+    x2[1] = xd[:, ::-1]
     out, cache = _lstm_forward(x2, np.stack([wxf.data, wxb.data]),
                                np.stack([whf.data, whb.data]),
                                np.stack([bf.data, bb.data]))
@@ -557,13 +623,11 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
         out_data = out_data[0]
     _check_finite(out_data, "bilstm")
     hidden = whf.data.shape[0]
-    n_steps = xd.shape[1]
-    batch = xd.shape[0]
 
     def bwd(g):
         gd = g[None] if squeeze else g
         gt = gd.transpose(1, 0, 2)  # (T, B, 2H)
-        d_out = np.empty((n_steps, 2, batch, hidden))
+        d_out = _take((n_steps, 2, batch, hidden))
         d_out[:, 0] = gt[..., :hidden]
         d_out[:, 1] = gt[::-1, :, hidden:]
         dx2, dwx2, dwh2, db2 = _lstm_backward(cache, d_out)
@@ -575,6 +639,8 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
         _accum(wxb, dwx2[1])
         _accum(whb, dwh2[1])
         _accum(bb, db2[1])
+        _, _, _, h_seq, c_seq, gates, tanh_c = cache
+        _give(d_out, dx2, gates, h_seq, c_seq, tanh_c)
 
     return _node(out_data, (x, *params), bwd)
 

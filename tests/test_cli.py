@@ -200,6 +200,30 @@ class TestShortTrajectory:
         assert run(["encode", "--weights", weights, "--input", ok,
                     "--out", tmp_path / "enc_ok"]) == 0
 
+    def test_training_and_scatter_exit_2(self, tmp_path, capsys):
+        weights = tmp_path / "w.sfwt"
+        save_weights(weights, init_encoder(3, np.random.default_rng(0)))
+        for n_steps in ("10", str(MIN_INPUT_LENGTH - 1)):
+            assert run(["train-enca", "--model", "nlar1", "--steps", "2",
+                        "--minibatch", "8", "--n-steps", n_steps,
+                        "--out", tmp_path / "enca"]) == 2
+            assert run(["train-inca", "--model", "nlar1", "--steps", "2",
+                        "--n-steps", n_steps, "--out", tmp_path / "inca"]) == 2
+            assert run(["diagnose", "--weights", weights, "--scatter", "20",
+                        "--n-steps", n_steps, "--out", tmp_path / "diag"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"at least {MIN_INPUT_LENGTH} are needed") == 6
+        assert "Traceback" not in err
+        assert run(["diagnose", "--weights", weights, "--scatter", "20",
+                    "--n-steps", str(MIN_INPUT_LENGTH), "--out", tmp_path / "ok"]) == 0
+
+    def test_configured_n_steps_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "short.ini"
+        cfg.write_text("[model]\nn_steps = 10\n")
+        assert run(["train-enca", "--model", "nlar1", "--steps", "2", "--minibatch", "8",
+                    "--config", cfg, "--out", tmp_path / "enca"]) == 2
+        assert f"at least {MIN_INPUT_LENGTH} are needed" in capsys.readouterr().err
+
 
 class TestConfiguredDynamoMap:
     """The [dynamo_f2] constants reach every simulation and are recorded as run."""
@@ -279,6 +303,21 @@ class TestConfiguredDynamoMap:
                     "--out", abc]) == 0
         manifest = json.loads((abc / "manifest.json").read_text())
         assert manifest["config"]["model_spec"]["f2"] == self.CUSTOM
+
+    def test_mcmc_outside_the_configured_support_exits_1(self, tmp_path, f2_config,
+                                                       capsys):
+        # simulated under the shipped map, the observation has zero likelihood
+        # under the configured one for every prior draw
+        obs = tmp_path / "obs"
+        assert run(["simulate", "--model", "dynamo", "--n-steps", "60", "--seed", "0",
+                    "--out", obs]) == 0
+        assert run(["mcmc", "--model", "dynamo", "--observation", obs / "trajectory.csv",
+                    "--chain-length", "2000", "--seed", "1", "--config", f2_config,
+                    "--out", tmp_path / "mc"]) == 1
+        err = capsys.readouterr().err
+        assert "runtime error (DegenerateLikelihoodError)" in err
+        assert "finite likelihood" in err
+        assert "Traceback" not in err
 
 
 class TestBlasThreads:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from statforge.errors import DegenerateLikelihoodError, StatforgeError
 from statforge.mcmc import McmcConfig, batch_means_se, metropolis_accept, metropolis_run
 from statforge.models import (
     NLAR1_PRIOR,
@@ -52,6 +53,15 @@ class TestPriorRecovery:
             assert stat < 0.02
         assert np.all(sample.draws >= prior.lower)
         assert np.all(sample.draws <= prior.upper)
+
+
+class TestStartingPoint:
+    def test_no_finite_likelihood_raises(self):
+        prior = PriorSpec(("a", "b"), (0.0, -1.0), (2.0, 1.0), x0=0.0)
+        cfg = McmcConfig(chain_length=100, seed=1)
+        with pytest.raises(DegenerateLikelihoodError, match="finite likelihood") as info:
+            metropolis_run(lambda theta: -np.inf, prior, None, cfg)
+        assert isinstance(info.value, StatforgeError)
 
 
 class TestConjugateHarness:

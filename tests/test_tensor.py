@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -5,6 +7,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import fd_gradient, max_grad_error
 
 import statforge.tensor as T
+from statforge.enca import decode_forward, init_enca, training_losses
 from statforge.encoder import ENCODER_LAYERS, encode_batch, init_encoder
 from statforge.errors import TrainingDivergedError
 
@@ -290,6 +293,103 @@ def oracle_encode(x, weights, prefix="encoder."):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Oracles: the LSTM cell loops as first written (strided gate passes, fresh
+# arrays for every intermediate).  `bilstm` computes its gates in place and
+# reuses its buffers across calls but must give the same bytes, forward and
+# backward.
+# ---------------------------------------------------------------------------
+
+def oracle_lstm_forward(x, wx, wh, b):
+    d, batch, n_steps, c_in = x.shape
+    hidden = wh.shape[1]
+    h3 = 3 * hidden
+    xw = np.matmul(x.reshape(d, batch * n_steps, c_in), wx)
+    xw = xw.reshape(d, batch, n_steps, 4 * hidden) + b[:, None, None, :]
+    xw = np.ascontiguousarray(xw.transpose(2, 0, 1, 3))  # (T, D, B, 4H)
+    h_seq = np.zeros((n_steps + 1, d, batch, hidden))
+    c_seq = np.zeros((n_steps + 1, d, batch, hidden))
+    gates = np.empty((n_steps, d, batch, 4 * hidden))
+    tanh_c = np.empty((n_steps, d, batch, hidden))
+    for t in range(n_steps):
+        z = xw[t]
+        z += h_seq[t] @ wh
+        gate = gates[t]
+        np.multiply(z[..., :h3], 0.5, out=gate[..., :h3])
+        np.tanh(gate[..., :h3], out=gate[..., :h3])
+        gate[..., :h3] += 1.0
+        gate[..., :h3] *= 0.5
+        np.tanh(z[..., h3:], out=gate[..., h3:])
+        i = gate[..., :hidden]
+        f = gate[..., hidden:2 * hidden]
+        o = gate[..., 2 * hidden:h3]
+        g = gate[..., h3:]
+        c = c_seq[t + 1]
+        np.multiply(f, c_seq[t], out=c)
+        c += i * g
+        tc = tanh_c[t]
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h_seq[t + 1])
+    cache = (x, wx, wh, h_seq, c_seq, gates, tanh_c)
+    return h_seq[1:], cache
+
+
+def oracle_lstm_backward(cache, d_out):
+    x, wx, wh, h_seq, c_seq, gates, tanh_c = cache
+    d, batch, n_steps, c_in = x.shape
+    hidden = wh.shape[1]
+    h3 = 3 * hidden
+    d_xw = np.empty((n_steps, d, batch, 4 * hidden))
+    d_wh = np.zeros_like(wh)
+    dh_next = np.zeros((d, batch, hidden))
+    dc_next = np.zeros((d, batch, hidden))
+    for t in range(n_steps - 1, -1, -1):
+        gate = gates[t]
+        i = gate[..., :hidden]
+        f = gate[..., hidden:2 * hidden]
+        o = gate[..., 2 * hidden:h3]
+        g = gate[..., h3:]
+        tc = tanh_c[t]
+        dh = d_out[t] + dh_next
+        do = dh * tc
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dz = d_xw[t]
+        dz[..., :hidden] = (dc * g) * i * (1.0 - i)
+        dz[..., hidden:2 * hidden] = (dc * c_seq[t]) * f * (1.0 - f)
+        dz[..., 2 * hidden:h3] = do * o * (1.0 - o)
+        dz[..., h3:] = (dc * i) * (1.0 - g * g)
+        dc_next = dc * f
+        d_wh += h_seq[t].transpose(0, 2, 1) @ dz
+        dh_next = dz @ wh.transpose(0, 2, 1)
+    d_xw_flat = np.ascontiguousarray(d_xw.transpose(1, 2, 0, 3)).reshape(
+        d, batch * n_steps, 4 * hidden)
+    x_flat = x.reshape(d, batch * n_steps, c_in)
+    d_wx = np.matmul(x_flat.transpose(0, 2, 1), d_xw_flat)
+    d_b = d_xw_flat.sum(axis=1)
+    d_x = np.matmul(d_xw_flat, wx.transpose(0, 2, 1)).reshape(x.shape)
+    return d_x, d_wx, d_wh, d_b
+
+
+def oracle_bilstm(x, params, g):
+    """Output of a (B, T, C) BiLSTM and the gradients of x and the six
+    parameters for upstream gradient g, composed as `bilstm` composes them."""
+    wxf, whf, bf, wxb, whb, bb = params
+    batch, n_steps = x.shape[:2]
+    hidden = whf.shape[0]
+    out, cache = oracle_lstm_forward(np.stack([x, x[:, ::-1]]), np.stack([wxf, wxb]),
+                                     np.stack([whf, whb]), np.stack([bf, bb]))
+    y = np.concatenate([out[:, 0], out[::-1, 1]], axis=-1).transpose(1, 0, 2)
+    gt = g.transpose(1, 0, 2)
+    d_out = np.empty((n_steps, 2, batch, hidden))
+    d_out[:, 0] = gt[..., :hidden]
+    d_out[:, 1] = gt[::-1, :, hidden:]
+    dx2, dwx2, dwh2, db2 = oracle_lstm_backward(cache, d_out)
+    grads = [dx2[0] + dx2[1][:, ::-1], dwx2[0], dwh2[0], db2[0],
+             dwx2[1], dwh2[1], db2[1]]
+    # gradients accumulate into zeros, which turns -0.0 into +0.0
+    return y, [np.zeros_like(a) + a for a in grads]
+
+
 def same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -301,6 +401,23 @@ def forward_backward(op, arrays, g):
     out = op(*tensors)
     T.backward(T.tsum(T.mul(out, T.Tensor(g))))
     return out.data, [t.grad for t in tensors]
+
+
+def lstm_params(rng, c_in, units, scale=0.4):
+    return [rng.standard_normal((c_in, 4 * units)) * scale,
+            rng.standard_normal((units, 4 * units)) * scale,
+            rng.standard_normal(4 * units) * scale,
+            rng.standard_normal((c_in, 4 * units)) * scale,
+            rng.standard_normal((units, 4 * units)) * scale,
+            rng.standard_normal(4 * units) * scale]
+
+
+def assert_bilstm_bytes(x, params, g):
+    out, grads = forward_backward(T.bilstm, [x] + params, g)
+    ref_out, ref_grads = oracle_bilstm(x, params, np.zeros_like(g) + g)
+    assert same_bytes(out, ref_out)
+    for k, (got, want) in enumerate(zip(grads, ref_grads)):
+        assert same_bytes(got, want), k
 
 
 class TestLayerOracles:
@@ -386,6 +503,177 @@ class TestLayerOracles:
         x = rng.standard_normal((1000, 100))
         s = encode_batch(x, store.params)
         assert same_bytes(s, oracle_encode(x[..., None], store.params))
+
+    @pytest.mark.parametrize("c_in", [4, 32])
+    def test_enca_shapes_bytes(self, c_in):
+        rng = np.random.default_rng(c_in)
+        x = rng.standard_normal((64, 100, c_in))
+        g = rng.standard_normal((64, 100, 32))
+        # twice, so the second call runs on the buffers the first gave back
+        for _ in range(2):
+            assert_bilstm_bytes(x, lstm_params(rng, c_in, 16), g)
+
+    @pytest.mark.parametrize("batch, n_steps, units, c_in",
+                             [(1, 1, 1, 1), (1, 1, 1, 3), (1, 7, 1, 2),
+                              (3, 1, 2, 1), (2, 5, 3, 2)])
+    def test_edge_shapes_bytes(self, batch, n_steps, units, c_in):
+        rng = np.random.default_rng(batch * 1000 + n_steps * 10 + units)
+        x = rng.standard_normal((batch, n_steps, c_in))
+        g = rng.standard_normal((batch, n_steps, 2 * units))
+        assert_bilstm_bytes(x, lstm_params(rng, c_in, units), g)
+
+    def test_single_trajectory_bytes(self, rng):
+        x = rng.standard_normal((9, 4))
+        params = lstm_params(rng, 4, 3)
+        g = rng.standard_normal((9, 6))
+        out, grads = forward_backward(T.bilstm, [x] + params, g)
+        ref_out, ref_grads = oracle_bilstm(x[None], params, g[None])
+        assert same_bytes(out, ref_out[0])
+        assert same_bytes(grads[0], ref_grads[0][0])
+        assert all(same_bytes(a, b) for a, b in zip(grads[1:], ref_grads[1:]))
+
+    @pytest.mark.parametrize("bias", [0.0, -0.0])
+    def test_zero_weights_signed_zero_inputs_bytes(self, bias):
+        # zero pre-activations of either sign reach tanh on the cell columns
+        rng = np.random.default_rng(5)
+        x = np.where(rng.random((4, 12, 3)) < 0.5, 0.0, -0.0)
+        x[rng.random(x.shape) < 0.3] = 1.5
+        params = [np.zeros((3, 8)), np.zeros((2, 8)), np.full(8, bias)] * 2
+        g = rng.standard_normal((4, 12, 4))
+        g[rng.random(g.shape) < 0.3] = -0.0
+        assert_bilstm_bytes(x, params, g)
+
+    def test_gate_affine_bytes(self, rng):
+        # the one-pass gate activation against the per-block passes, on
+        # signed zeros, subnormals and saturating values
+        hidden = 16
+        z = rng.standard_normal((2, 64, 4 * hidden)) * 10.0
+        picks = rng.random(z.shape)
+        z[picks < 0.1] = -0.0
+        z[(picks >= 0.1) & (picks < 0.2)] = 0.0
+        z[(picks >= 0.2) & (picks < 0.25)] = -5e-324
+        z[(picks >= 0.25) & (picks < 0.3)] = 800.0
+        scale, shift = T._gate_affine(hidden)
+        got = z.copy()
+        got *= scale
+        np.tanh(got, out=got)
+        got += shift
+        got *= scale
+        h3 = 3 * hidden
+        want = np.empty_like(z)
+        want[..., :h3] = 0.5 * (np.tanh(0.5 * z[..., :h3]) + 1.0)
+        want[..., h3:] = np.tanh(z[..., h3:])
+        assert same_bytes(got, want)
+        assert np.signbit(got[..., h3:][z[..., h3:] == 0]).any()
+
+    def test_signed_zero_inputs_bytes(self, rng):
+        x = rng.standard_normal((8, 20, 4))
+        x[rng.random(x.shape) < 0.3] = 0.0
+        x[rng.random(x.shape) < 0.3] = -0.0
+        params = lstm_params(rng, 4, 5)
+        params[2][rng.random(20) < 0.5] = -0.0
+        assert_bilstm_bytes(x, params, rng.standard_normal((8, 20, 10)))
+
+
+def lstm_caches(loss):
+    """The BPTT caches of every BiLSTM node of a graph, from its closures."""
+    caches, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        fn = node._backward
+        if fn is not None and "cache" in fn.__code__.co_freevars:
+            cell = fn.__closure__[fn.__code__.co_freevars.index("cache")]
+            caches.append(cell.cell_contents)
+        stack.extend(node._parents)
+    return caches
+
+
+def enca_step(store, seed, batch=16, n_steps=40):
+    """One ENCA training step (forward, backward, Adam) on fixed data."""
+    rng = np.random.default_rng(seed)
+    thetas = np.column_stack([rng.uniform(4.2, 5.8, batch), rng.uniform(0.05, 0.5, batch)])
+    noise = rng.standard_normal((batch, n_steps, 1))
+    x = rng.standard_normal((batch, n_steps))
+    store.zero_grad()
+    loss = training_losses(store, thetas, noise, x, 0.05)[0]
+    T.backward(loss)
+    T.adam_step(store, store.gradients())
+
+
+class TestLstmBuffers:
+    def test_layers_of_one_graph_share_no_memory(self):
+        store = init_enca("nlar1", 3, np.random.default_rng(0))
+        for seed in range(2):  # fill the spare list first
+            enca_step(store, seed)
+        rng = np.random.default_rng(7)
+        noise = rng.standard_normal((16, 40, 1))
+        s = T.Tensor(rng.random((16, 3)), requires_grad=True)
+        out = decode_forward(store.params, s, noise)
+        loss = T.tsum(out)
+        caches = lstm_caches(loss)
+        assert len(caches) == 2
+        for b in caches[1]:
+            assert not any(np.shares_memory(a, b) for a in caches[0] + (out.data,))
+
+    def test_forward_only_output_survives_training(self):
+        store = init_enca("nlar1", 3, np.random.default_rng(1))
+        enca_step(store, 0)
+        rng = np.random.default_rng(8)
+        s = rng.random((16, 3))
+        noise = rng.standard_normal((16, 40, 1))
+        y = decode_forward(store.params, T.Tensor(s), noise).data
+        before = y.copy()
+        for seed in range(1, 4):
+            enca_step(store, seed)
+        assert same_bytes(y, before)
+
+    def test_pending_graph_keeps_its_cache(self):
+        # a graph built but not yet differentiated keeps its buffers while
+        # other graphs train; its gradients equal those of a fresh graph
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((6, 15, 3))
+        params = lstm_params(rng, 3, 4)
+        g = rng.standard_normal((6, 15, 8))
+        tensors = [T.Tensor(a, requires_grad=True) for a in [x] + params]
+        pending = T.tsum(T.mul(T.bilstm(*tensors), T.Tensor(g)))
+        for seed in range(3):
+            other = lstm_params(np.random.default_rng(seed), 3, 4)
+            forward_backward(T.bilstm, [x] + other, g)
+        T.backward(pending)
+        _, ref = oracle_bilstm(x, params, g)
+        assert all(same_bytes(t.grad, r) for t, r in zip(tensors, ref))
+
+    def test_spare_list_bound(self):
+        rng = np.random.default_rng(10)
+        graphs = []
+        for n_steps in (3, 4, 5):
+            for _ in range(3):
+                tensors = [T.Tensor(a, requires_grad=True)
+                           for a in [rng.standard_normal((2, n_steps, 3))]
+                           + lstm_params(rng, 3, 2)]
+                graphs.append(T.tsum(T.bilstm(*tensors)))
+        for loss in graphs:
+            T.backward(loss)
+            assert len(T._SPARE) <= T._SPARE_MAX
+
+    def test_second_enca_step_allocates_less(self):
+        store = init_enca("nlar1", 3, np.random.default_rng(2))
+        T._SPARE.clear()
+        growth = []
+        tracemalloc.start()
+        try:
+            for seed in range(2):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                enca_step(store, seed, batch=64, n_steps=100)
+                growth.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        # the warm step takes the LSTM buffers back instead of allocating them
+        assert growth[1] < growth[0] - 20e6, growth
 
 
 class TestSigmoidOpenInterval:
