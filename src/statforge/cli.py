@@ -372,12 +372,16 @@ def cmd_mcmc(args) -> int:
     seed = _global_seed(args)
     spec = cfgmod.model_spec_from_config(cfg, args.model)
     observation = _read_trajectory(args.observation, "--observation")
-    run_cfg = mcmc_mod.McmcConfig(
-        chain_length=args.chain_length or cfgmod.config_get(cfg, "mcmc", "chain_length", int, 200_000),
-        burn_in_frac=cfgmod.config_get(cfg, "mcmc", "burn_in_frac", float, 0.25),
-        thin=cfgmod.config_get(cfg, "mcmc", "thin", int, 10),
-        seed=seed,
-    )
+    try:
+        run_cfg = mcmc_mod.McmcConfig(
+            chain_length=args.chain_length or cfgmod.config_get(cfg, "mcmc", "chain_length", int, 200_000),
+            chains=cfgmod.config_get(cfg, "mcmc", "chains", int, 8),
+            burn_in_frac=cfgmod.config_get(cfg, "mcmc", "burn_in_frac", float, 0.25),
+            thin=cfgmod.config_get(cfg, "mcmc", "thin", int, 10),
+            seed=seed,
+        )
+    except ValueError as err:
+        raise UsageError(f"[mcmc]: {err}") from err
     sample, rate = mcmc_mod.metropolis_run(spec, None, observation, run_cfg)
     (out / "samples.csv").write_text(sample_set_to_csv(sample))
     cfgmod.write_manifest(

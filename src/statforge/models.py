@@ -11,13 +11,13 @@ that the simulator is a deterministic map of (theta, noise):
   simulator, which keeps the noise distribution parameter-free.
 
 Besides the simulators the module holds the uniform box priors, the exact
-one-step transition densities (Gaussian for nlar1, trapezoid for dynamo),
-trajectory log-likelihoods, deterministic bifurcation sweeps, and trajectory
-CSV / binary export.
+one-step transition log-densities (Gaussian for nlar1, trapezoid for dynamo)
+and their exps, trajectory log-likelihoods of one theta or of K rows at a
+time, deterministic bifurcation sweeps, and trajectory CSV / binary export.
 
 Everything that differs between the two models (prior, true theta, noise
 channels and how they are drawn, ENCA minibatch, the f2 map, the per-step
-map and the transition density) sits in one frozen ``ModelSpec``; ``NLAR1``
+map and the transition log-density) sits in one frozen ``ModelSpec``; ``NLAR1``
 and ``DYNAMO`` are the shipped instances.  Every public function takes a
 spec or an id from ``MODEL_IDS``, so a spec built with a configured prior or
 f2 reaches every simulation it is passed to.
@@ -125,8 +125,9 @@ class ModelSpec:
 
     ``step(x, theta, noise, f2)`` advances a batch of states one step, given
     the tuple of parameter columns and the (B, c) noise row of that step.
-    ``regressor(x, f2)`` and ``density(x_next, regressor, theta)`` are the
-    data and parameter halves of the exact transition density.
+    ``regressor(x, f2)`` and ``log_density(x_next, regressor, theta)`` are the
+    data and parameter halves of the exact transition log-density; theta is
+    one (p,) vector or K rows (K, p), which give a (K, N) result.
     ``noise_draw(rng, size)`` is the Generator method that draws the bare
     noise.  ``skeleton_noise`` is the fixed noise row of the deterministic
     map that ``bifurcation_sweep`` iterates at the true theta.  ``f2`` is the
@@ -142,7 +143,7 @@ class ModelSpec:
     enca_minibatch: int
     step: Callable
     regressor: Callable
-    density: Callable
+    log_density: Callable
     skeleton_noise: tuple
     has_suffstats: bool = False  # closed-form sufficient statistics exist
     f2: DynamoMap | None = None
@@ -365,17 +366,25 @@ def _guard_batch(cur: np.ndarray, n: int):
 # Exact transition densities and likelihood
 # ---------------------------------------------------------------------------
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-def _nlar1_density(x_next, f_prev, theta):
-    """Gaussian density N(alpha*f_prev, sigma^2) at x_next, given f_prev = f(x)."""
-    alpha, sigma = _theta_values(theta)
-    if sigma <= 0:
+def _theta_columns(theta) -> tuple:
+    """Parameter columns: scalars for one theta (p,), (K, 1) columns for K rows (K, p),
+    so that a log-density broadcasts to the data's shape or to (K, N)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim == 2:
+        return tuple(theta.T[:, :, None])
+    return tuple(np.atleast_1d(theta))
+
+
+def _nlar1_log_density(x_next, f_prev, theta):
+    """Log of the Gaussian density N(alpha*f_prev, sigma^2) at x_next, given f_prev = f(x)."""
+    alpha, sigma = _theta_columns(theta)
+    if np.any(sigma <= 0):
         raise InvalidParameterError("sigma must be > 0 for the transition density")
-    mean = alpha * f_prev
-    z = (x_next - mean) / sigma
-    return np.exp(-0.5 * z * z) / (sigma * _SQRT_2PI)
+    z = (x_next - alpha * f_prev) / sigma
+    return -0.5 * z * z - (np.log(sigma) + _LOG_SQRT_2PI)
 
 
 def _nlar1_regressor(x, f2) -> np.ndarray:
@@ -390,41 +399,48 @@ def _dynamo_regressor(x, f2: DynamoMap) -> np.ndarray:
     return np.maximum(c, 0.0)
 
 
-def _dynamo_density(x_next, c, theta):
-    """Trapezoid density of A*c + E at x_next, given the regressor c = f2(x)."""
-    alpha, delta, eps_amp = _theta_values(theta)
-    if delta < 0 or eps_amp < 0:
+def _dynamo_log_density(x_next, c, theta):
+    """Log of the trapezoid density of A*c + E at x_next, given the regressor
+    c = f2(x); -inf outside the support."""
+    alpha, delta, eps_amp = _theta_columns(theta)
+    if np.any(delta < 0) or np.any(eps_amp < 0):
         raise InvalidParameterError("delta and eps must be >= 0")
     w1 = delta * c          # width of the multiplicative part
     w2 = eps_amp            # width of the additive part
-    if np.isscalar(w1) or w1.ndim == 0:
-        if float(w1) == 0.0 and w2 == 0.0:
-            raise DegenerateLikelihoodError(
-                "both noise widths vanish; transition is a point mass")
-    elif w2 == 0.0 and np.any(w1 == 0.0):
+    if np.any((w1 == 0.0) & (w2 == 0.0)):
         raise DegenerateLikelihoodError(
             "both noise widths vanish; transition is a point mass")
     t = x_next - alpha * c
-    w1, t = np.broadcast_arrays(np.asarray(w1, dtype=float), t)
+    w1, w2, t = np.broadcast_arrays(w1, w2, t)
     lo = np.minimum(w1, w2)
     hi = np.maximum(w1, w2)
     total = w1 + w2
-    out = np.zeros_like(t)
     inside = (t >= 0.0) & (t <= total)
     ramp_up = inside & (t < lo)
     flat = inside & (t >= lo) & (t <= total - lo)
     ramp_dn = inside & (t > total - lo)
-    np.divide(t, lo * hi, out=out, where=ramp_up)
-    np.divide(1.0, hi, out=out, where=flat)
-    np.divide(total - t, lo * hi, out=out, where=ramp_dn)
+    dens = np.zeros(t.shape)
+    np.divide(t, lo * hi, out=dens, where=ramp_up)
+    np.divide(1.0, hi, out=dens, where=flat)
+    np.divide(total - t, lo * hi, out=dens, where=ramp_dn)
+    out = np.full(t.shape, -np.inf)
+    with np.errstate(divide="ignore"):      # a zero ramp height at the support's edge
+        np.log(dens, out=out, where=inside)
     return out
 
 
-def transition_density(model, x_next, x, theta):
-    """Exact one-step density of ``model`` at x_next given the state x."""
+def log_transition_density(model, x_next, x, theta):
+    """Exact one-step log-density of ``model`` at x_next given the state x."""
     spec = model_spec(model)
-    out = spec.density(np.asarray(x_next, dtype=float), spec.regressor(x, spec.f2),
-                       theta)
+    out = spec.log_density(np.asarray(x_next, dtype=float),
+                           spec.regressor(x, spec.f2), theta)
+    return out if out.ndim else float(out)
+
+
+def transition_density(model, x_next, x, theta):
+    """Exact one-step density of ``model`` at x_next given the state x: the
+    exp of ``log_transition_density``."""
+    out = np.exp(log_transition_density(model, x_next, x, theta))
     return out if out.ndim else float(out)
 
 
@@ -446,27 +462,29 @@ def transition_density_dynamo(x_next, x, theta):
 
 
 def log_likelihood_fn(traj: Trajectory, model):
-    """theta -> exact trajectory log-likelihood, -inf when any transition factor is 0.
+    """theta -> exact trajectory log-likelihood, the sum of the log-densities of
+    its transitions; -inf when any transition lies outside the support.
 
-    The data terms (the lagged states and the regressor f(x_{n-1}), or the
-    clipped f2(x_{n-1}) for dynamo) are computed once here, not per theta;
-    the arithmetic per theta is that of the transition densities.
+    The returned function takes one theta (p,) and returns a float, or K
+    rows (K, p) and returns the (K,) log-likelihoods; one theta is the row
+    of a (1, p) batch, so both forms give the same bits per row.  The data
+    terms (the lagged states and the regressor f(x_{n-1}), or the clipped
+    f2(x_{n-1}) for dynamo) are computed once here, not per theta.
     """
     spec = model_spec(model)
-    density, regressor = spec.density, spec.regressor(traj.lagged(), spec.f2)
+    log_density, regressor = spec.log_density, spec.regressor(traj.lagged(), spec.f2)
     x_next = traj.x
 
-    def loglik(theta) -> float:
-        dens = density(x_next, regressor, theta)    # 1-D, as traj.x is
-        if (dens <= 0.0).any():
-            return float("-inf")
-        return float(np.log(dens).sum())
+    def loglik(theta):
+        theta = np.asarray(theta, dtype=float)
+        values = log_density(x_next, regressor, np.atleast_2d(theta)).sum(axis=1)
+        return values if theta.ndim == 2 else float(values[0])
 
     return loglik
 
 
 def log_likelihood(traj: Trajectory, theta, model) -> float:
-    """Exact trajectory log-likelihood; -inf when any transition factor is 0."""
+    """Exact trajectory log-likelihood; -inf when any transition lies outside the support."""
     return log_likelihood_fn(traj, model)(theta)
 
 
@@ -478,12 +496,12 @@ NLAR1 = ModelSpec(
     id="nlar1", prior=NLAR1_PRIOR, true_theta=np.array([5.3, 0.015]),
     noise_channels=1, noise_draw=np.random.Generator.standard_normal,
     enca_minibatch=300, step=_nlar1_step, regressor=_nlar1_regressor,
-    density=_nlar1_density, skeleton_noise=(0.0,), has_suffstats=True)
+    log_density=_nlar1_log_density, skeleton_noise=(0.0,), has_suffstats=True)
 DYNAMO = ModelSpec(
     id="dynamo", prior=DYNAMO_PRIOR, true_theta=np.array([1.11, 0.15, 0.08]),
     noise_channels=2, noise_draw=np.random.Generator.random,
     enca_minibatch=100, step=_dynamo_step, regressor=_dynamo_regressor,
-    density=_dynamo_density, skeleton_noise=(0.0, 0.5), f2=DEFAULT_DYNAMO_MAP)
+    log_density=_dynamo_log_density, skeleton_noise=(0.0, 0.5), f2=DEFAULT_DYNAMO_MAP)
 
 _SPECS = {spec.id: spec for spec in (NLAR1, DYNAMO)}
 MODEL_IDS = tuple(_SPECS)

@@ -187,7 +187,9 @@ def test_criterion_04_suffstat_oracle():
             direct = log_likelihood(traj, (a, s), "nlar1")
             via = (-0.5 * n * np.log(2 * np.pi * s * s)
                    - n / (2 * s * s) * (st.sigma2_hat + (st.alpha_hat - a) ** 2 * st.order))
-            worst_rel = max(worst_rel, abs(direct - via) / abs(direct))
+            rel = abs(direct - via) / abs(direct)
+            # NaN-strict: a non-finite likelihood (or identity) fails the check
+            worst_rel = max(worst_rel, rel) if np.isfinite(rel) else np.inf
     elapsed = time.perf_counter() - t0
     ok = worst_mle < 1e-6 and worst_rel < 1e-9 and elapsed < 120
     record(4, ok, f"mle vs numeric argmax {worst_mle:.2e} (<1e-6), "

@@ -3,7 +3,15 @@ import pytest
 from scipy.stats import kstest
 
 from statforge.errors import DegenerateLikelihoodError, StatforgeError
-from statforge.mcmc import McmcConfig, batch_means_se, metropolis_accept, metropolis_run
+from statforge import mcmc
+from statforge.mcmc import (
+    START_TRIES,
+    McmcConfig,
+    batch_means_se,
+    convergence,
+    metropolis_accept,
+    metropolis_run,
+)
 from statforge.models import (
     NLAR1_PRIOR,
     PriorSpec,
@@ -56,12 +64,175 @@ class TestPriorRecovery:
 
 
 class TestStartingPoint:
+    PRIOR = PriorSpec(("a", "b"), (0.0, -1.0), (2.0, 1.0), x0=0.0)
+
     def test_no_finite_likelihood_raises(self):
-        prior = PriorSpec(("a", "b"), (0.0, -1.0), (2.0, 1.0), x0=0.0)
-        cfg = McmcConfig(chain_length=100, seed=1)
+        cfg = McmcConfig(chain_length=96, seed=1)
         with pytest.raises(DegenerateLikelihoodError, match="finite likelihood") as info:
-            metropolis_run(lambda theta: -np.inf, prior, None, cfg)
+            metropolis_run(lambda theta: -np.inf, self.PRIOR, None, cfg)
         assert isinstance(info.value, StatforgeError)
+
+    def test_every_chain_needs_a_start(self):
+        # the first chain starts at once; the second finds nothing in 1001 draws
+        calls = []
+
+        def loglik(theta):
+            calls.append(theta)
+            return 0.0 if len(calls) == 1 else -np.inf
+
+        with pytest.raises(DegenerateLikelihoodError, match="1001 prior draws"):
+            metropolis_run(loglik, self.PRIOR, None, McmcConfig(chain_length=96, seed=1))
+        assert len(calls) == 1 + START_TRIES == 1002
+
+
+class SpyGenerator:
+    """A generator that keeps every Gaussian step it hands out."""
+
+    def __init__(self, gen):
+        self.gen, self.steps = gen, []
+
+    def standard_normal(self, size):
+        z = self.gen.standard_normal(size)
+        self.steps.append(z)
+        return z
+
+    def random(self, size):
+        return self.gen.random(size)
+
+
+class TestSameWork:
+    """K chains as rows do the work of ``chain_length`` single proposals.
+
+    The likelihood is flat on a >= 1 and -inf below it, and adaptation is
+    off, so every in-box proposal with a >= 1 is accepted and a loop over
+    the recorded steps replays the chains exactly."""
+
+    PRIOR = PriorSpec(("a", "b"), (0.0, -1.0), (2.0, 1.0), x0=0.0)
+    SCALES = np.array([0.5, 0.3])
+
+    def run(self, monkeypatch, **kw):
+        cfg = McmcConfig(proposal_scales=self.SCALES, adapt_interval=10**9, seed=4, **kw)
+        spy = SpyGenerator(stream(cfg.seed, 0xBEEF))
+        monkeypatch.setattr(mcmc, "stream", lambda *path: spy)
+        calls = []      # (Gaussian steps drawn so far, theta)
+
+        def loglik(theta):
+            calls.append((len(spy.steps), np.array(theta)))
+            return 0.0 if theta[0] >= 1.0 else -np.inf
+
+        sample, rate = metropolis_run(loglik, self.PRIOR, None, cfg)
+        return cfg, spy.steps, calls, sample
+
+    def replay(self, cfg, steps, starts):
+        theta, inbox_total, path = starts.copy(), 0, []
+        for z in steps:
+            prop = theta + z * self.SCALES
+            inbox = np.all((prop >= self.PRIOR.lower) & (prop <= self.PRIOR.upper), axis=1)
+            inbox_total += int(inbox.sum())
+            accept = inbox & (prop[:, 0] >= 1.0)
+            theta[accept] = prop[accept]
+            path.append(theta.copy())
+        return inbox_total, np.array(path)
+
+    @pytest.mark.parametrize("chains,chain_length,burn_in_frac,thin",
+                             [(8, 4000, 0.25, 10), (3, 999, 0.3, 7), (1, 500, 0.0, 1)])
+    def test_counts_and_order(self, monkeypatch, chains, chain_length, burn_in_frac, thin):
+        cfg, steps, calls, sample = self.run(
+            monkeypatch, chains=chains, chain_length=chain_length,
+            burn_in_frac=burn_in_frac, thin=thin)
+        # total proposals: one (K, p) Gaussian step per iteration
+        assert all(z.shape == (chains, 2) for z in steps)
+        assert sum(z.shape[0] for z in steps) == chain_length
+        start_tries = [theta for n, theta in calls if n == 0]
+        starts = np.array([theta for theta in start_tries if theta[0] >= 1.0])
+        assert len(starts) == chains and len(start_tries) >= chains
+        inbox_total, path = self.replay(cfg, steps, starts)
+        assert len(calls) == inbox_total + len(start_tries)
+        assert inbox_total < chain_length          # some proposals left the box
+        # kept draws: chains x ceil((steps - burn) / thin), chain by chain
+        per_chain = chain_length // chains
+        burn = int(per_chain * burn_in_frac)
+        n_keep = -(-(per_chain - burn) // thin)
+        assert sample.m == chains * n_keep
+        want = path[burn::thin].transpose(1, 0, 2).reshape(-1, 2)
+        assert sample.draws.tobytes() == want.tobytes()
+        assert len(sample.manifest["chain_acceptance"]) == chains
+        assert sample.manifest["steps_per_chain"] == per_chain
+
+    def test_length_not_divisible_by_chains(self):
+        with pytest.raises(ValueError, match="multiple of chains"):
+            McmcConfig(chain_length=1001, chains=8)
+        for bad in (0, -1):
+            with pytest.raises(ValueError):
+                McmcConfig(chains=bad)
+
+    def test_one_chain_runs(self):
+        cfg = McmcConfig(chain_length=2000, chains=1, seed=2)
+        sample, rate = metropolis_run(lambda theta: 0.0, self.PRIOR, None, cfg)
+        assert sample.m == 150 and 0.0 < rate < 1.0
+        assert sample.manifest["steps_per_chain"] == 2000
+
+
+class TestConvergence:
+    def test_iid_chains(self):
+        rng = stream(11, 0)
+        for _ in range(3):
+            draws = rng.standard_normal((8, 1000, 2))
+            rhat, ess = convergence(draws)
+            assert np.all(rhat < 1.01)
+            assert np.all(np.abs(ess / 8000 - 1.0) < 0.15)
+
+    def test_autocorrelated_chains(self):
+        # AR(1) with phi = 0.8: ESS is about S (1 - phi) / (1 + phi)
+        rng = stream(12, 0)
+        x = np.zeros((8, 2000))
+        noise = rng.standard_normal((8, 2000))
+        for t in range(1, 2000):
+            x[:, t] = 0.8 * x[:, t - 1] + noise[:, t]
+        rhat, ess = convergence(x[:, :, None])
+        assert rhat[0] < 1.02
+        assert abs(ess[0] / (16000 * 0.2 / 1.8) - 1.0) < 0.25
+
+    def test_shifted_chains(self):
+        draws = stream(13, 0).standard_normal((8, 1000, 1))
+        draws[:4] += 1.0
+        rhat, _ = convergence(draws)
+        assert rhat[0] > 1.1
+
+    def test_different_spread_is_seen(self):
+        # equal means, one chain four times wider: the folded R-hat sees it
+        draws = stream(14, 0).standard_normal((4, 1000, 1))
+        draws[0] *= 4.0
+        assert convergence(draws)[0][0] > 1.01
+
+    def test_constant_chain_gives_no_nan(self):
+        draws = stream(15, 0).standard_normal((4, 500, 2))
+        draws[:, :, 0] = 0.3          # one parameter never moves
+        draws[2, :, 1] = 0.1          # and one chain of the other is stuck
+        rhat, ess = convergence(draws)
+        assert np.all(np.isfinite(rhat)) and np.all(np.isfinite(ess))
+        assert rhat[0] == 1.0 and ess[0] == 2000
+        assert rhat[1] > 1.01
+
+    def test_too_few_draws(self):
+        rhat, ess = convergence(np.zeros((8, 3, 2)))
+        assert np.all(np.isnan(rhat)) and np.all(np.isnan(ess))
+
+    def test_manifest_and_warning(self):
+        # two narrow modes the proposals cannot cross: chains stick to
+        # their starting mode and R-hat says so
+        prior = PriorSpec(("a",), (0.0,), (10.0,), x0=0.0)
+
+        def loglik(theta):
+            return float(-0.5 * min((theta[0] - 2.0) ** 2, (theta[0] - 8.0) ** 2) / 0.01)
+
+        cfg = McmcConfig(chain_length=16_000, proposal_scales=np.array([0.05]), seed=3)
+        with pytest.warns(RuntimeWarning, match="R-hat"):
+            sample, _ = metropolis_run(loglik, prior, None, cfg)
+        man = sample.manifest
+        assert man["rhat"][0] > 1.1
+        assert len(man["ess_bulk"]) == 1 and len(man["chain_acceptance"]) == 8
+        assert man["config"]["chains"] == 8 and man["steps_per_chain"] == 2000
 
 
 class TestConjugateHarness:

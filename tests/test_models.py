@@ -32,6 +32,7 @@ from statforge.models import (
     load_trajectory_batch,
     log_likelihood,
     log_likelihood_fn,
+    log_transition_density,
     model_spec,
     prior_for,
     row_streams,
@@ -318,6 +319,18 @@ class TestLogLikelihood:
         # shrink the noise amplitudes: observed steps fall outside the support
         assert log_likelihood(traj, (1.11, 0.001, 0.001), "dynamo") == -np.inf
 
+    def test_finite_where_the_density_product_underflows(self):
+        # sigma = 0.005 on a trajectory simulated with sigma = 0.025: some
+        # transition densities underflow to 0, their logs stay finite
+        traj = simulate_nlar1((5.3, 0.025), draw_bare_noise("nlar1", 200, 0))
+        alpha, sigma = 4.2, 0.005
+        assert (transition_density_nlar1(traj.x, traj.lagged(), (alpha, sigma)) == 0.0).any()
+        z = (traj.x - alpha * f_nlar1(traj.lagged())) / sigma
+        want = -0.5 * np.sum(z * z) - traj.n_steps * np.log(sigma * np.sqrt(2 * np.pi))
+        got = log_likelihood(traj, (alpha, sigma), "nlar1")
+        assert np.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_finite_at_generating_theta(self):
         for model_id, theta in (("nlar1", (5.3, 0.015)), ("dynamo", (1.11, 0.15, 0.08))):
             for seed in range(5):
@@ -327,13 +340,8 @@ class TestLogLikelihood:
 
 
 def reference_log_likelihood(traj, theta, model_id):
-    """Per-call form: transition densities from the raw lagged states."""
-    density = {"nlar1": transition_density_nlar1,
-               "dynamo": transition_density_dynamo}[model_id]
-    dens = np.atleast_1d(density(traj.x, traj.lagged(), theta))
-    if np.any(dens <= 0.0):
-        return float("-inf")
-    return float(np.sum(np.log(dens)))
+    """Per-call form: transition log-densities from the raw lagged states."""
+    return float(np.sum(log_transition_density(model_id, traj.x, traj.lagged(), theta)))
 
 
 class TestLogLikelihoodFn:
@@ -357,6 +365,21 @@ class TestLogLikelihoodFn:
     def test_dynamo_support_violation(self):
         traj = simulate_dynamo((1.11, 0.15, 0.08), draw_bare_noise("dynamo", 100, 12))
         assert log_likelihood_fn(traj, "dynamo")((1.11, 0.001, 0.001)) == -np.inf
+
+    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
+    def test_rows_match_single_theta(self, model_id):
+        # K rows (K, p) give (K,) values, each the bits of that theta alone
+        traj = simulate(model_id, TRUE_THETA[model_id], draw_bare_noise(model_id, 120, 43))
+        rng = stream(44, 0)
+        thetas = TRUE_THETA[model_id] * (1.0 + 0.1 * (rng.random((9, len(TRUE_THETA[model_id]))) - 0.5))
+        loglik = log_likelihood_fn(traj, model_id)
+        rows = loglik(thetas)
+        assert rows.shape == (9,)
+        singles = np.array([loglik(theta) for theta in thetas])
+        assert rows.tobytes() == singles.tobytes()
+        assert np.array_equal(loglik(thetas[3:4]), singles[3:4])
+        if model_id == "dynamo":
+            assert np.isfinite(rows).any() and not np.isfinite(rows).all()
 
     def test_nonpositive_sigma_raises(self):
         traj = simulate_nlar1((5.3, 0.015), draw_bare_noise("nlar1", 50, 13))
@@ -596,10 +619,12 @@ class TestModelSpec:
         want = reference_dynamo(theta, noise, f2=CUSTOM_F2)
         assert traj.x.tobytes() == want.tobytes()
         assert traj.x.tobytes() != simulate_dynamo(theta, noise).x.tobytes()
+        log_dens = log_transition_density(spec, traj.x, traj.lagged(), theta)
+        ref = DYNAMO.log_density(traj.x, np.maximum(CUSTOM_F2(traj.lagged()), 0.0), theta)
+        assert log_dens.tobytes() == ref.tobytes()
         dens = transition_density(spec, traj.x, traj.lagged(), theta)
-        ref = DYNAMO.density(traj.x, np.maximum(CUSTOM_F2(traj.lagged()), 0.0), theta)
-        assert dens.tobytes() == ref.tobytes()
-        assert log_likelihood(traj, theta, spec) == float(np.log(dens).sum())
+        assert dens.tobytes() == np.exp(ref).tobytes()
+        assert log_likelihood(traj, theta, spec) == float(log_dens.sum())
         assert log_likelihood(traj, theta, "dynamo") != log_likelihood(traj, theta, spec)
 
     def test_record_is_json_ready(self):
