@@ -29,7 +29,6 @@ from .models import (
     draw_bare_noise,
     log_likelihood,
     log_likelihood_fn,
-    log_transition_density,
     model_spec,
     prior_for,
     sample_prior,

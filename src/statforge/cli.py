@@ -375,7 +375,6 @@ def cmd_mcmc(args) -> int:
     try:
         run_cfg = mcmc_mod.McmcConfig(
             chain_length=args.chain_length or cfgmod.config_get(cfg, "mcmc", "chain_length", int, 200_000),
-            chains=cfgmod.config_get(cfg, "mcmc", "chains", int, 8),
             burn_in_frac=cfgmod.config_get(cfg, "mcmc", "burn_in_frac", float, 0.25),
             thin=cfgmod.config_get(cfg, "mcmc", "thin", int, 10),
             seed=seed,

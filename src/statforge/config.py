@@ -28,8 +28,8 @@ DEFAULTS = {
              "lr": "1e-3", "seed": "0", "log_every": "100"},
     "abc": {"population": "1000", "budget": "100000", "velocity": "0.3",
             "proposal_scale": "0.5", "seed": "0"},
-    "mcmc": {"chain_length": "200000", "chains": "8", "burn_in_frac": "0.25",
-             "thin": "10", "seed": "0"},
+    "mcmc": {"chain_length": "200000", "burn_in_frac": "0.25", "thin": "10",
+             "seed": "0"},
 }
 
 

@@ -1,8 +1,8 @@
 """Random-walk Metropolis over the exact likelihoods (the ground truth).
 
-``McmcConfig.chains`` chains (K, default 8) advance together as the rows of
-a (K, p) array.  ``chain_length`` is the total number of proposals over all
-chains, so each chain takes ``chain_length / K`` steps.  Every step draws a
+``CHAINS`` chains (K = 8) advance together as the rows of a (K, p) array.
+``chain_length`` is the total number of proposals over all chains, so each
+chain takes ``chain_length / K`` steps.  Every step draws a
 (K, p) Gaussian move and K uniforms, checks all rows against the prior box
 and evaluates the likelihood of the in-box rows in one vectorised call.  The
 prior is a flat box, so the acceptance ratio reduces to the likelihood ratio
@@ -33,27 +33,31 @@ from .samples import SampleSet
 
 RHAT_WARN = 1.01        # R-hat above this raises a RuntimeWarning
 START_TRIES = 1001      # prior draws a chain tries for a finite starting point
+CHAINS = 8              # chains advanced together as array rows
 
 
 @dataclass
 class McmcConfig:
+    """Run settings.  ``chain_length`` counts proposals over all chains;
+    ``burn_in_frac``, ``thin`` and ``adapt_interval`` apply to the steps of
+    each chain, so burn-in adaptation updates the scale factor every
+    ``adapt_interval`` steps, which is ``adapt_interval * CHAINS`` proposals."""
     chain_length: int = 200_000     # total proposals, over all chains
-    burn_in_frac: float = 0.25
-    thin: int = 10
+    burn_in_frac: float = 0.25      # share of each chain's steps
+    thin: int = 10                  # keep every thin-th step of each chain
     proposal_scales: np.ndarray | None = None   # None -> 0.1 * prior range
     seed: int = 0
     target_accept: float = 0.234
-    adapt_interval: int = 100
-    chains: int = 8
+    adapt_interval: int = 100       # steps of each chain between scale updates
 
     def __post_init__(self):
         if not 0.0 <= self.burn_in_frac < 1.0:
             raise ValueError("burn_in_frac must be in [0, 1)")
-        if self.chains < 1 or self.chain_length < 1:
-            raise ValueError("chains and chain_length must be >= 1")
-        if self.chain_length % self.chains:
+        if self.chain_length < 1:
+            raise ValueError("chain_length must be >= 1")
+        if self.chain_length % CHAINS:
             raise ValueError(f"chain_length {self.chain_length} is not a multiple "
-                             f"of chains {self.chains}")
+                             f"of the {CHAINS} chains")
         if self.proposal_scales is not None:
             scales = np.asarray(self.proposal_scales, dtype=float)
             if np.any(scales <= 0):
@@ -101,7 +105,7 @@ def metropolis_run(model_or_loglik, prior: PriorSpec | None,
         prior = spec.prior
         loglik = loglik_rows = log_likelihood_fn(observation, spec)
 
-    k, p, steps = cfg.chains, prior.dim, cfg.chain_length // cfg.chains
+    k, p, steps = CHAINS, prior.dim, cfg.chain_length // CHAINS
     lower, upper = prior.lower, prior.upper
     rng = stream(cfg.seed, 0xBEEF)
     burn = int(steps * cfg.burn_in_frac)
@@ -121,14 +125,10 @@ def metropolis_run(model_or_loglik, prior: PriorSpec | None,
     for t in range(steps):
         prop = theta + rng.standard_normal((k, p)) * scale
         u = rng.random(k)
-        outside = (prop < lower) | (prop > upper)
-        if not np.count_nonzero(outside):
-            llp = loglik_rows(prop)
-        else:
-            inbox = ~outside.any(axis=1)
-            llp = np.full(k, -np.inf)
-            if inbox.any():
-                llp[inbox] = loglik_rows(prop[inbox])
+        inbox = ((prop >= lower) & (prop <= upper)).all(axis=1)
+        llp = np.full(k, -np.inf)
+        if inbox.any():
+            llp[inbox] = loglik_rows(prop[inbox])
         acc = metropolis_accept(llp - ll, u)
         np.copyto(theta, prop, where=acc[:, None])
         np.copyto(ll, llp, where=acc)
@@ -158,6 +158,7 @@ def metropolis_run(model_or_loglik, prior: PriorSpec | None,
         **asdict(cfg),
         "proposal_scales": None if cfg.proposal_scales is None
         else np.asarray(cfg.proposal_scales).tolist()},
+        "chains": k,
         "steps_per_chain": steps,
         "acceptance_rate": accept_rate,
         "chain_acceptance": chain_accept.tolist(),

@@ -381,7 +381,7 @@ def _theta_columns(theta) -> tuple:
 def _nlar1_log_density(x_next, f_prev, theta):
     """Log of the Gaussian density N(alpha*f_prev, sigma^2) at x_next, given f_prev = f(x)."""
     alpha, sigma = _theta_columns(theta)
-    if np.any(sigma <= 0):
+    if np.count_nonzero(sigma <= 0):
         raise InvalidParameterError("sigma must be > 0 for the transition density")
     z = (x_next - alpha * f_prev) / sigma
     return -0.5 * z * z - (np.log(sigma) + _LOG_SQRT_2PI)
@@ -429,18 +429,12 @@ def _dynamo_log_density(x_next, c, theta):
     return out
 
 
-def log_transition_density(model, x_next, x, theta):
-    """Exact one-step log-density of ``model`` at x_next given the state x."""
-    spec = model_spec(model)
-    out = spec.log_density(np.asarray(x_next, dtype=float),
-                           spec.regressor(x, spec.f2), theta)
-    return out if out.ndim else float(out)
-
-
 def transition_density(model, x_next, x, theta):
     """Exact one-step density of ``model`` at x_next given the state x: the
-    exp of ``log_transition_density``."""
-    out = np.exp(log_transition_density(model, x_next, x, theta))
+    exp of the spec's log-density."""
+    spec = model_spec(model)
+    out = np.exp(spec.log_density(np.asarray(x_next, dtype=float),
+                                  spec.regressor(x, spec.f2), theta))
     return out if out.ndim else float(out)
 
 

@@ -413,27 +413,24 @@ class TestMcmcAndDiagnose:
         assert (diag_out / "histograms.csv").exists()
 
     def test_mcmc_manifest_records_the_chains(self, tmp_path, obs_dir):
-        config = tmp_path / "mcmc.ini"
-        config.write_text("[mcmc]\nchains = 4\n")
         out = tmp_path / "mcmc"
         assert run(["mcmc", "--model", "nlar1", "--observation", obs_dir / "trajectory.csv",
-                    "--chain-length", "4000", "--seed", "1", "--config", config,
-                    "--out", out]) == 0
+                    "--chain-length", "8000", "--seed", "1", "--out", out]) == 0
         record = json.loads((out / "manifest.json").read_text())["config"]["mcmc"]
-        assert record["config"]["chains"] == 4 and record["config"]["chain_length"] == 4000
+        assert record["chains"] == 8 and record["config"]["chain_length"] == 8000
         assert record["steps_per_chain"] == 1000
-        assert len(record["chain_acceptance"]) == 4
+        assert len(record["chain_acceptance"]) == 8
         assert all(0.0 < a < 1.0 for a in record["chain_acceptance"])
         assert record["acceptance_rate"] == pytest.approx(np.mean(record["chain_acceptance"]))
         assert len(record["rhat"]) == len(record["ess_bulk"]) == 2
         assert all(r >= 0.9 for r in record["rhat"]) and all(e > 0 for e in record["ess_bulk"])
-        # chains draw 750 kept draws each, chain by chain
-        assert sample_set_from_csv((out / "samples.csv").read_text()).m == 4 * 75
+        # each chain keeps every 10th of its 750 post-burn-in steps, chain by chain
+        assert sample_set_from_csv((out / "samples.csv").read_text()).m == 8 * 75
 
     def test_mcmc_chain_length_not_divisible_is_usage_error(self, tmp_path, obs_dir, capsys):
         assert run(["mcmc", "--model", "nlar1", "--observation", obs_dir / "trajectory.csv",
                     "--chain-length", "4001", "--out", tmp_path / "mc"]) == 2
-        assert "multiple of chains 8" in capsys.readouterr().err
+        assert "multiple of the 8 chains" in capsys.readouterr().err
 
     def test_diagnose_requires_work(self, tmp_path):
         assert run(["diagnose", "--out", tmp_path / "d"]) == 2

@@ -110,7 +110,8 @@ class TestSameWork:
     PRIOR = PriorSpec(("a", "b"), (0.0, -1.0), (2.0, 1.0), x0=0.0)
     SCALES = np.array([0.5, 0.3])
 
-    def run(self, monkeypatch, **kw):
+    def run(self, monkeypatch, chains, **kw):
+        monkeypatch.setattr(mcmc, "CHAINS", chains)
         cfg = McmcConfig(proposal_scales=self.SCALES, adapt_interval=10**9, seed=4, **kw)
         spy = SpyGenerator(stream(cfg.seed, 0xBEEF))
         monkeypatch.setattr(mcmc, "stream", lambda *path: spy)
@@ -160,14 +161,15 @@ class TestSameWork:
         assert sample.manifest["steps_per_chain"] == per_chain
 
     def test_length_not_divisible_by_chains(self):
-        with pytest.raises(ValueError, match="multiple of chains"):
-            McmcConfig(chain_length=1001, chains=8)
-        for bad in (0, -1):
+        with pytest.raises(ValueError, match="multiple of the 8 chains"):
+            McmcConfig(chain_length=1001)
+        for bad in (0, -8):
             with pytest.raises(ValueError):
-                McmcConfig(chains=bad)
+                McmcConfig(chain_length=bad)
 
-    def test_one_chain_runs(self):
-        cfg = McmcConfig(chain_length=2000, chains=1, seed=2)
+    def test_one_chain_runs(self, monkeypatch):
+        monkeypatch.setattr(mcmc, "CHAINS", 1)
+        cfg = McmcConfig(chain_length=2000, seed=2)
         sample, rate = metropolis_run(lambda theta: 0.0, self.PRIOR, None, cfg)
         assert sample.m == 150 and 0.0 < rate < 1.0
         assert sample.manifest["steps_per_chain"] == 2000
@@ -232,7 +234,7 @@ class TestConvergence:
         man = sample.manifest
         assert man["rhat"][0] > 1.1
         assert len(man["ess_bulk"]) == 1 and len(man["chain_acceptance"]) == 8
-        assert man["config"]["chains"] == 8 and man["steps_per_chain"] == 2000
+        assert man["chains"] == 8 and man["steps_per_chain"] == 2000
 
 
 class TestConjugateHarness:

@@ -32,7 +32,6 @@ from statforge.models import (
     load_trajectory_batch,
     log_likelihood,
     log_likelihood_fn,
-    log_transition_density,
     model_spec,
     prior_for,
     row_streams,
@@ -339,9 +338,15 @@ class TestLogLikelihood:
                 assert np.isfinite(log_likelihood(traj, theta, model_id))
 
 
+def transition_log_densities(model, traj, theta):
+    """The spec's log-density of each transition, from the raw lagged states."""
+    spec = model_spec(model)
+    return spec.log_density(traj.x, spec.regressor(traj.lagged(), spec.f2), theta)
+
+
 def reference_log_likelihood(traj, theta, model_id):
     """Per-call form: transition log-densities from the raw lagged states."""
-    return float(np.sum(log_transition_density(model_id, traj.x, traj.lagged(), theta)))
+    return float(np.sum(transition_log_densities(model_id, traj, theta)))
 
 
 class TestLogLikelihoodFn:
@@ -619,7 +624,7 @@ class TestModelSpec:
         want = reference_dynamo(theta, noise, f2=CUSTOM_F2)
         assert traj.x.tobytes() == want.tobytes()
         assert traj.x.tobytes() != simulate_dynamo(theta, noise).x.tobytes()
-        log_dens = log_transition_density(spec, traj.x, traj.lagged(), theta)
+        log_dens = transition_log_densities(spec, traj, theta)
         ref = DYNAMO.log_density(traj.x, np.maximum(CUSTOM_F2(traj.lagged()), 0.0), theta)
         assert log_dens.tobytes() == ref.tobytes()
         dens = transition_density(spec, traj.x, traj.lagged(), theta)
