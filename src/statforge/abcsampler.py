@@ -25,6 +25,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import DegenerateStatisticError
+from .mcmc import metropolis_accept
 from .models import (
     ModelSpec,
     PriorSpec,
@@ -227,7 +228,7 @@ def sabc_core(stat_sim, prior: PriorSpec, s_obs: np.ndarray, std: Standardizer,
             new_dist, new_comp = _distance_batch(new_stats, s_obs, std)
             sims_used += candidates.size
             log_ratio = -(new_dist - dist[candidates]) / tol
-            accept = np.log(u[candidates]) < log_ratio
+            accept = metropolis_accept(log_ratio, u[candidates])
             rows = candidates[accept]
             thetas[rows] = props[rows]
             dist[rows] = new_dist[accept]

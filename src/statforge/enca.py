@@ -174,6 +174,7 @@ def train_enca(model, cfg: EncaConfig) -> TrainResult:
     }
     log: list = []
     checkpoint = store.clone()
+    pool_start = T.POOL.counts()
     t_start = time.perf_counter()
     for step in range(cfg.steps):
         thetas = sample_prior(prior, data_rng, size=minibatch)
@@ -200,4 +201,6 @@ def train_enca(model, cfg: EncaConfig) -> TrainResult:
             })
         if (step + 1) % cfg.checkpoint_every == 0:
             checkpoint = store.clone()
+    # takes served from the buffer pool and fresh allocations, this call
+    meta["buffer_pool"] = {k: n - pool_start[k] for k, n in T.POOL.counts().items()}
     return TrainResult(store=store, log=log, meta=meta)

@@ -90,11 +90,18 @@ def shape_trace(n_steps: int, q: int, lead_shape: tuple = (1,), c_in: int = 1):
 
 
 def encode_batch(x: np.ndarray, weights) -> np.ndarray:
-    """(B, N) or (B, N, C) trajectories -> (B, q) statistics (no graph)."""
+    """(B, N) or (B, N, C) trajectories -> (B, q) statistics (no graph).
+
+    Trainable tensors in ``weights`` are read as constants, so inference
+    never builds a graph, whatever holds the weights.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         x = x[..., None]
-    return encode_forward(weights, T.Tensor(x)).data
+    constants = {key: _as_param(weights, key).detach()
+                 for name, _k, filters, _act in ENCODER_LAYERS if filters is not None
+                 for key in (f"encoder.{name}.kernel", f"encoder.{name}.bias")}
+    return encode_forward(constants, T.Tensor(x)).data
 
 
 def encode(traj, weights) -> np.ndarray:

@@ -183,6 +183,7 @@ def train_inca(model, cfg: IncaConfig) -> IncaTrainResult:
     }
     log: list = []
     checkpoint = store.clone()
+    pool_start = T.POOL.counts()
     t_start = time.perf_counter()
     for step in range(cfg.steps):
         thetas = sample_prior(prior, data_rng, size=cfg.theta_batch)
@@ -212,6 +213,8 @@ def train_inca(model, cfg: IncaConfig) -> IncaTrainResult:
             })
         if (step + 1) % cfg.checkpoint_every == 0:
             checkpoint = store.clone()
+    # takes served from the buffer pool and fresh allocations, this call
+    meta["buffer_pool"] = {k: n - pool_start[k] for k, n in T.POOL.counts().items()}
     return IncaTrainResult(store=store, log=log, meta=meta)
 
 

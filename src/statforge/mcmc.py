@@ -248,13 +248,3 @@ def convergence(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rhat.append(max(_rhat(z), _rhat(_rank_normalize(folded))))
         ess.append(_ess(z))
     return np.array(rhat), np.array(ess)
-
-
-def batch_means_se(draws: np.ndarray, n_batches: int = 20) -> np.ndarray:
-    """Monte-Carlo standard error of the chain mean via batch means."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    if draws.shape[0] < 2 * n_batches:
-        n_batches = max(2, draws.shape[0] // 2)
-    usable = (draws.shape[0] // n_batches) * n_batches
-    batches = draws[:usable].reshape(n_batches, -1, draws.shape[1]).mean(axis=1)
-    return batches.std(axis=0, ddof=1) / np.sqrt(n_batches)

@@ -9,15 +9,37 @@ no compiled variant); forward passes are deterministic and single-threaded
 training is bit-reproducible.
 
 Graphs are built only while some input requires gradients, so the same ops
-double as a plain (graph-free) inference path.  The BiLSTM keeps its work
-buffers in a module-level spare list between training steps, so training
-runs from one thread at a time.
+double as a plain (graph-free) inference path.
+
+Training steps draw their large arrays from one module-level buffer pool,
+`POOL`, and give them back once they are dead, so a step reuses the memory
+of the step before instead of having the kernel zero fresh pages.  Pooled
+are the conv im2col matrices (forward, and backward from the windows and
+from the zero-padded gradient), the input gradients of conv, BiLSTM and
+matmul, the relu and maxpool backward buffers, the gradients of
+intermediate nodes (given back as soon as their node's backward has run),
+the BiLSTM work buffers, and the outputs of the conv, relu, maxpool and
+BiLSTM nodes of a graph (given back when the node dies, unless something
+else still holds the array).  Inference, with
+nothing requiring gradients, allocates plainly: its row counts change from
+call to call, and pooled buffers of every size it meets would pile up.
+The pool serves a request from the smallest idle buffer that is large
+enough but at most 1.5 times the size, so a step's short-lived temporaries
+of different shapes share a few buffers.  The idle pool is bounded by
+`POOL_MAX_BYTES`, which holds one training step of either autoencoder at
+the acceptance configurations; past it the buffers of the least recently
+given sizes are dropped.  Pooling changes no arithmetic: outputs and
+gradients are bit-identical to plain allocation.  Training runs from one
+thread at a time.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
+import math
 import struct
+import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,7 +56,7 @@ _WEIGHTS_MAGIC = b"SFWT0001"
 class Tensor:
     """A numpy array plus an optional backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_pooled")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=float)
@@ -42,6 +64,13 @@ class Tensor:
         self.grad = None
         self._parents = parents if requires_grad else ()
         self._backward = backward if requires_grad else None
+        self._pooled = False
+
+    def __del__(self):
+        # a pooled output goes back to the pool unless a view or a caller
+        # still holds the array
+        if self._pooled and _holders(self) == _SOLE_HOLDERS:
+            POOL.give(self.data)
 
     @property
     def shape(self):
@@ -106,12 +135,107 @@ def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
+def _holders(t: Tensor) -> tuple:
+    return sys.getrefcount(t.data), sys.getrefcount(t.data.base)
+
+
+# what `_holders` reports for a pool view that only its Tensor holds
+_SOLE_HOLDERS = _holders(Tensor(np.empty(1)[:1]))
+
+
+class BufferPool:
+    """Idle flat float64 buffers by size, for training steps to reuse.
+
+    `take` hands out a view of the given shape (contents undefined) on the
+    smallest idle buffer that holds it and is at most `FIT` times its size,
+    else on a new buffer; `give` takes back views nothing reads any more.
+    While the idle buffers exceed `max_bytes`, those of the least recently
+    given size are dropped.  `hits` and `misses` count the takes served from
+    the pool and the fresh allocations.
+    """
+
+    FIT = 1.5
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.idle: dict[int, list[np.ndarray]] = {}
+        self.sizes: list[int] = []   # the keys of `idle`, ascending
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def take(self, shape) -> np.ndarray:
+        n = math.prod(shape)
+        i = bisect.bisect_left(self.sizes, n)
+        if i < len(self.sizes) and self.sizes[i] <= self.FIT * n:
+            self.hits += 1
+            buf = self._pop(self.sizes[i])
+        else:
+            self.misses += 1
+            buf = np.empty(n)
+        return buf[:n].reshape(shape)
+
+    def give(self, *views: np.ndarray):
+        for view in views:
+            buf = view.base
+            # the one allocation the garbage collector can run in, and so
+            # a `Tensor.__del__` that gives back too, comes before any change
+            new = [buf]
+            spare = self.idle.pop(buf.size, None)
+            if spare is None:
+                spare = new
+                bisect.insort(self.sizes, buf.size)
+            else:
+                spare.append(buf)
+            self.idle[buf.size] = spare   # now the most recently given size
+            self.nbytes += buf.nbytes
+        while self.nbytes > self.max_bytes:
+            self._pop(next(iter(self.idle)), oldest=True)
+
+    def _pop(self, size: int, oldest: bool = False) -> np.ndarray:
+        spare = self.idle[size]
+        buf = spare.pop(0 if oldest else -1)
+        if not spare:
+            del self.idle[size]
+            self.sizes.remove(size)
+        self.nbytes -= buf.nbytes
+        return buf
+
+    def counts(self) -> dict:
+        return {"hits": self.hits, "misses": self.misses}
+
+
+# One ENCA step at minibatch 64 and N=100 keeps about 50 MB of buffers in
+# use at once, an INCA step at 60 trajectories about 15 MB.
+POOL_MAX_BYTES = 64 * 2**20
+POOL = BufferPool(POOL_MAX_BYTES)
+
+
+def _alloc(tracked: bool):
+    """The allocator of an op: the pool while building a graph, else numpy."""
+    return POOL.take if tracked else np.empty
+
+
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False):
+    """Add g to t's gradient; `owned` hands over g, a pool view, as well.
+
+    A new gradient is zeros + g, that is g + 0.0 (-0.0 becomes +0.0).  An
+    intermediate node's gradient is a pool view, which `backward` gives back
+    once the node's backward has run.
+    """
+    if t.requires_grad and t.grad is None and t._backward is not None:
+        if owned:
+            g += 0.0
+            t.grad = g
+        else:
+            t.grad = np.add(g, 0.0, out=POOL.take(t.data.shape))
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad += g
+    if owned:
+        POOL.give(g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -125,9 +249,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _node(data, parents, backward) -> Tensor:
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, parents=tuple(parents), backward=backward)
+def _tracked(*parents) -> bool:
+    return any(p.requires_grad for p in parents)
+
+
+def _node(data, parents, backward, pooled=False) -> Tensor:
+    """A graph node; `pooled` marks data taken from the pool for this node."""
+    t = Tensor(data, requires_grad=_tracked(*parents), parents=tuple(parents),
+               backward=backward)
+    t._pooled = pooled and t.requires_grad
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +327,8 @@ def matmul(a, b):
     out_data = a.data @ b.data
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
+        _accum(a, np.matmul(g, b.data.T, out=POOL.take(g.shape[:-1] + b.data.shape[:1])),
+               owned=True)
         _accum(b, a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _node(out_data, (a, b), bwd)
@@ -244,12 +376,13 @@ def relu(a):
     # a NaN input stays NaN (and the caller's finite check raises) instead
     # of becoming 0.  The mask is needed only by the backward pass.
     a = astensor(a)
-    out_data = np.maximum(a.data, 0.0)
+    tracked = _tracked(a)
+    out_data = np.maximum(a.data, 0.0, out=_alloc(tracked)(a.data.shape))
 
     def bwd(g):
-        _accum(a, g * (a.data > 0))
+        _accum(a, np.multiply(g, a.data > 0, out=POOL.take(g.shape)), owned=True)
 
-    return _node(out_data, (a,), bwd)
+    return _node(out_data, (a,), bwd, pooled=tracked)
 
 
 def leaky_relu(a, slope: float = 0.3):
@@ -349,16 +482,35 @@ def _check_finite(x: np.ndarray, where: str):
         raise TrainingDivergedError(f"non-finite values in {where}")
 
 
-def _im2col(a: np.ndarray, k: int) -> np.ndarray:
+def _im2col(a: np.ndarray, k: int, alloc) -> np.ndarray:
     """(..., L, C) -> (prod(...) * (L-k+1), k*C) matrix of k-step windows.
 
     Row t of a trajectory is the contiguous run a[..., t:t+k, :], so its
     columns are ordered k major, C minor -- the order ``np.tensordot`` gives
-    the same windows -- and the matrix costs a single copy.
+    the same windows -- and the matrix costs a single copy, into a buffer
+    from ``alloc``.
     """
     length, chans = a.shape[-2:]
     rows = sliding_window_view(a.reshape(-1, length * chans), k * chans, axis=-1)
-    return rows[:, ::chans].reshape(-1, k * chans)
+    rows = rows[:, ::chans]
+    cols = alloc((rows.shape[0] * rows.shape[1], k * chans))
+    np.copyto(cols.reshape(rows.shape), rows)
+    return cols
+
+
+def _im2col_padded(g: np.ndarray, k: int, length: int) -> np.ndarray:
+    """`_im2col` of g (..., L-k+1, C) padded with k-1 zero rows on either
+    side of the time axis, filled straight from g into a pool buffer."""
+    chans = g.shape[-1]
+    rows = g.reshape(-1, length - k + 1, chans)
+    cols = POOL.take((rows.shape[0] * length, k * chans))
+    win = cols.reshape(rows.shape[0], length, k, chans)
+    for j in range(k):
+        lo = k - 1 - j   # window row j of output t reads g[t - lo]
+        win[:, :lo, j] = 0.0
+        win[:, lo:length - j, j] = rows
+        win[:, length - j:, j] = 0.0
+    return cols
 
 
 def conv1d_valid(x, kernel, bias=None):
@@ -375,35 +527,51 @@ def conv1d_valid(x, kernel, bias=None):
     if length < k:
         raise ValueError(f"input length {length} shorter than kernel {k}")
     lead = x.data.shape[:-2]
-    out_data = np.dot(_im2col(x.data, k), kernel.data.reshape(k * c_in, c_out))
-    out_data = out_data.reshape(lead + (length - k + 1, c_out))
     if bias is not None:
         bias = astensor(bias)
-        out_data = out_data + bias.data
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    tracked = _tracked(*parents)
+    alloc = _alloc(tracked)
+    cols = _im2col(x.data, k, alloc)
+    out_data = alloc(lead + (length - k + 1, c_out))
+    np.dot(cols, kernel.data.reshape(k * c_in, c_out), out=out_data.reshape(-1, c_out))
+    if tracked:
+        POOL.give(cols)
+    del cols
+    if bias is not None:
+        # in place on a pool buffer; inference keeps numpy's allocation
+        # pattern, with which glibc holds less of the SABC encoder's memory
+        out_data = np.add(out_data, bias.data, out=out_data if tracked else None)
     _check_finite(out_data, "conv1d")
 
     def bwd(g):
         if kernel.requires_grad:
-            # windows: (..., L-k+1, C_in, k)
+            # dK[k, ci, co] = sum over batch,t of x[..., t+k, ci] g[..., t, co],
+            # as np.tensordot of the (..., L-k+1, C_in, k) windows and g
+            # computes it: one GEMM on the windows transposed to
+            # (C_in, k, ...) and copied, which here is a pooled buffer
             win = sliding_window_view(x.data, k, axis=-2)
-            batch_axes = tuple(range(g.ndim - 1))
-            # dK[k, ci, co] = sum over batch,t of win[..., t, ci, k] g[..., t, co]
-            dk = np.tensordot(win, g, axes=(batch_axes[:-1] + (g.ndim - 2,),
-                                            batch_axes))
-            _accum(kernel, dk.transpose(1, 0, 2))
+            nb = g.ndim - 1
+            at = POOL.take((c_in * k, g.size // c_out))
+            np.copyto(at.reshape((c_in, k) + g.shape[:-1]),
+                      win.transpose((nb, nb + 1) + tuple(range(nb))))
+            dk = np.dot(at, g.reshape(-1, c_out))
+            POOL.give(at)
+            _accum(kernel, dk.reshape(c_in, k, c_out).transpose(1, 0, 2))
         if x.requires_grad:
-            pad = [(0, 0)] * g.ndim
-            pad[-2] = (k - 1, k - 1)
-            gp = np.pad(g, pad)
+            # dx is the full convolution of g with the flipped kernel: an
+            # im2col of g with k-1 zero rows on either side of the time axis
+            cols = _im2col_padded(g, k, length)
             # krev[j, ci, co] = kernel[k-1-j, ci, co], as rows (j, co)
             krev = np.ascontiguousarray(kernel.data[::-1].transpose(0, 2, 1))
-            dx = np.dot(_im2col(gp, k), krev.reshape(k * c_out, c_in))
-            _accum(x, dx.reshape(lead + (length, c_in)))
+            dx = POOL.take(lead + (length, c_in))
+            np.dot(cols, krev.reshape(k * c_out, c_in), out=dx.reshape(-1, c_in))
+            POOL.give(cols)
+            _accum(x, dx, owned=True)
         if bias is not None and bias.requires_grad:
             _accum(bias, _unbroadcast(g, bias.data.shape))
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _node(out_data, parents, bwd)
+    return _node(out_data, parents, bwd, pooled=tracked)
 
 
 def maxpool1d(x, window: int = 2):
@@ -415,20 +583,22 @@ def maxpool1d(x, window: int = 2):
     x = astensor(x)
     length = x.data.shape[-2]
     n_out = length // window
-    trimmed = x.data[..., : n_out * window, :]
-    shaped = trimmed.reshape(trimmed.shape[:-2] + (n_out, window, trimmed.shape[-1]))
-    out_data = shaped.max(axis=-2)
+    windows = x.data.shape[:-2] + (n_out, window, x.data.shape[-1])
+    shaped = x.data[..., : n_out * window, :].reshape(windows)
+    tracked = _tracked(x)
+    out_data = shaped.max(axis=-2, out=_alloc(tracked)(windows[:-2] + windows[-1:]))
     _check_finite(out_data, "maxpool1d")
 
     def bwd(g):
         arg = shaped.argmax(axis=-2)  # first maximal index wins
-        gfull = np.zeros_like(shaped)
-        np.put_along_axis(gfull, arg[..., None, :], g[..., None, :], axis=-2)
-        gx = np.zeros_like(x.data)
-        gx[..., : n_out * window, :] = gfull.reshape(trimmed.shape)
-        _accum(x, gx)
+        # zeros with g at each window's argmax, the odd trailing row included
+        gx = POOL.take(x.data.shape)
+        gx.fill(0.0)
+        np.put_along_axis(gx[..., : n_out * window, :].reshape(windows),
+                          arg[..., None, :], g[..., None, :], axis=-2)
+        _accum(x, gx, owned=True)
 
-    return _node(out_data, (x,), bwd)
+    return _node(out_data, (x,), bwd, pooled=tracked)
 
 
 def global_avg_pool(x):
@@ -460,33 +630,6 @@ def dense(x, weights, bias, activation: str = "linear"):
 # fused bidirectional LSTM
 # ---------------------------------------------------------------------------
 
-# Work buffers of finished BiLSTM nodes, newest last.  `bilstm`'s backward
-# gives its buffers back once it has run (backward runs at most once per
-# graph), and the next forward takes them again by shape, so a training step
-# reuses the memory of the one before instead of faulting in fresh pages.  A
-# graph that never runs backward keeps its buffers until it is freed.  The
-# list holds at most one ENCA step's buffers: per layer the input stack,
-# gates, h and c states and tanh(c), plus the GEMM staging matrix and the
-# output gradient that both layers share; past that the oldest are dropped.
-_SPARE: list[np.ndarray] = []
-_SPARE_MAX = 12
-
-
-def _take(shape) -> np.ndarray:
-    """A spare buffer of this shape (contents undefined), else a new one."""
-    shape = tuple(shape)
-    for k in range(len(_SPARE) - 1, -1, -1):
-        if _SPARE[k].shape == shape:
-            return _SPARE.pop(k)
-    return np.empty(shape)
-
-
-def _give(*arrays: np.ndarray):
-    """Return buffers nothing reads any more to the spare list."""
-    _SPARE.extend(arrays)
-    del _SPARE[:-_SPARE_MAX]
-
-
 def _gate_affine(hidden: int):
     """Per-column (scale, shift) turning tanh into the gate activations.
 
@@ -503,7 +646,8 @@ def _gate_affine(hidden: int):
     return scale, shift
 
 
-def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
+def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
+                  tracked: bool):
     """LSTM over stacked directions: x (D, B, T, C) with weights (D, C, 4H),
     (D, H, 4H), (D, 4H); returns (T, D, B, H) and a BPTT cache.
 
@@ -511,24 +655,26 @@ def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
     4H axis is (input, forget, output, cell-candidate) so the three sigmoid
     gates form one contiguous block; initial states are zero.  The gates are
     computed in place over their pre-activations, x @ wx + b is written
-    straight into them, and every array comes from the spare list; the
-    cache holds them until `_lstm_backward` consumes it.
+    straight into them, and every array comes from the pool if ``tracked``;
+    the cache holds them until `_lstm_backward` consumes it.
     """
+    alloc = _alloc(tracked)
     d, batch, n_steps, c_in = x.shape
     hidden = wh.shape[1]
     h3 = 3 * hidden
     scale, shift = _gate_affine(hidden)
     xw = np.matmul(x.reshape(d, batch * n_steps, c_in), wx,
-                   out=_take((d, batch * n_steps, 4 * hidden)))
-    gates = _take((n_steps, d, batch, 4 * hidden))
+                   out=alloc((d, batch * n_steps, 4 * hidden)))
+    gates = alloc((n_steps, d, batch, 4 * hidden))
     np.add(xw.reshape(d, batch, n_steps, 4 * hidden).transpose(2, 0, 1, 3),
            b[None, :, None, :], out=gates)
-    _give(xw)
-    h_seq = _take((n_steps + 1, d, batch, hidden))
-    c_seq = _take((n_steps + 1, d, batch, hidden))
+    if tracked:
+        POOL.give(xw)
+    h_seq = alloc((n_steps + 1, d, batch, hidden))
+    c_seq = alloc((n_steps + 1, d, batch, hidden))
     h_seq[0] = 0.0
     c_seq[0] = 0.0
-    tanh_c = _take((n_steps, d, batch, hidden))
+    tanh_c = alloc((n_steps, d, batch, hidden))
     for t in range(n_steps):
         gate = gates[t]
         gate += h_seq[t] @ wh
@@ -586,14 +732,14 @@ def _lstm_backward(cache, d_out: np.ndarray):
         sig *= one_minus
         d_wh += h_seq[t].transpose(0, 2, 1) @ dz
         dh_next = dz @ wh.transpose(0, 2, 1)
-    d_xw_flat = _take((d, batch * n_steps, 4 * hidden))
+    d_xw_flat = POOL.take((d, batch * n_steps, 4 * hidden))
     np.copyto(d_xw_flat.reshape(d, batch, n_steps, 4 * hidden),
               gates.transpose(1, 2, 0, 3))
     x_flat = x.reshape(d, batch * n_steps, c_in)
     d_wx = np.matmul(x_flat.transpose(0, 2, 1), d_xw_flat)
     d_b = d_xw_flat.sum(axis=1)
     d_x = np.matmul(d_xw_flat, wx.transpose(0, 2, 1), out=x_flat).reshape(x.shape)
-    _give(d_xw_flat)
+    POOL.give(d_xw_flat)
     return d_x, d_wx, d_wh, d_b
 
 
@@ -601,38 +747,41 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
     """Bidirectional LSTM: (B, T, C) -> (B, T, 2*units), zero initial states.
 
     The two directions have independent weights; per-step outputs are
-    concatenated (forward direction first).  The work buffers come from the
-    spare list and go back to it when this node's backward has run, so
-    repeated training steps reuse them; the output is always a new array.
+    concatenated (forward direction first).  While a graph is built, the
+    work buffers come from the pool and go back to it when this node's
+    backward has run, and the output is a pooled node output.
     """
     x = astensor(x)
     params = [astensor(p) for p in (wx_f, wh_f, b_f, wx_b, wh_b, b_b)]
     wxf, whf, bf, wxb, whb, bb = params
+    tracked = _tracked(x, *params)
     squeeze = x.data.ndim == 2
     xd = x.data[None] if squeeze else x.data
     batch, n_steps = xd.shape[:2]
-    x2 = _take((2,) + xd.shape)
+    x2 = _alloc(tracked)((2,) + xd.shape)
     x2[0] = xd
     x2[1] = xd[:, ::-1]
     out, cache = _lstm_forward(x2, np.stack([wxf.data, wxb.data]),
                                np.stack([whf.data, whb.data]),
-                               np.stack([bf.data, bb.data]))
+                               np.stack([bf.data, bb.data]), tracked)
     # out is (T, 2, B, H): forward half as-is, backward half time-flipped
-    out_data = np.concatenate([out[:, 0], out[::-1, 1]], axis=-1).transpose(1, 0, 2)
+    hidden = whf.data.shape[0]
+    out_data = np.concatenate([out[:, 0], out[::-1, 1]], axis=-1,
+                              out=_alloc(tracked)((n_steps, batch, 2 * hidden)))
+    out_data = out_data.transpose(1, 0, 2)
     if squeeze:
         out_data = out_data[0]
     _check_finite(out_data, "bilstm")
-    hidden = whf.data.shape[0]
 
     def bwd(g):
         gd = g[None] if squeeze else g
         gt = gd.transpose(1, 0, 2)  # (T, B, 2H)
-        d_out = _take((n_steps, 2, batch, hidden))
+        d_out = POOL.take((n_steps, 2, batch, hidden))
         d_out[:, 0] = gt[..., :hidden]
         d_out[:, 1] = gt[::-1, :, hidden:]
         dx2, dwx2, dwh2, db2 = _lstm_backward(cache, d_out)
-        dx = dx2[0] + dx2[1][:, ::-1]
-        _accum(x, dx[0] if squeeze else dx)
+        dx = np.add(dx2[0], dx2[1][:, ::-1], out=POOL.take(dx2.shape[1:]))
+        _accum(x, dx[0] if squeeze else dx, owned=True)
         _accum(wxf, dwx2[0])
         _accum(whf, dwh2[0])
         _accum(bf, db2[0])
@@ -640,9 +789,9 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
         _accum(whb, dwh2[1])
         _accum(bb, db2[1])
         _, _, _, h_seq, c_seq, gates, tanh_c = cache
-        _give(d_out, dx2, gates, h_seq, c_seq, tanh_c)
+        POOL.give(d_out, dx2, gates, h_seq, c_seq, tanh_c)
 
-    return _node(out_data, (x, *params), bwd)
+    return _node(out_data, (x, *params), bwd, pooled=tracked)
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +799,11 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor):
-    """Reverse-mode sweep from a scalar loss; frees the graph afterwards."""
+    """Reverse-mode sweep from a scalar loss; frees the graph afterwards.
+
+    Only leaves (tensors without a backward) keep their gradients; those of
+    intermediate nodes go back to the pool once they have been used.
+    """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
     if not loss.requires_grad:
@@ -669,10 +822,14 @@ def backward(loss: Tensor):
         stack.append((node, True))
         for parent in node._parents:
             stack.append((parent, False))
-    loss.grad = np.ones_like(loss.data)
+    loss.grad = POOL.take(loss.data.shape)
+    loss.grad.fill(1.0)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+            # no backward keeps its incoming gradient: it is free for reuse
+            POOL.give(node.grad)
+            node.grad = None
     for node in topo:
         node._backward = None
         node._parents = ()

@@ -7,7 +7,6 @@ from statforge import mcmc
 from statforge.mcmc import (
     START_TRIES,
     McmcConfig,
-    batch_means_se,
     convergence,
     metropolis_accept,
     metropolis_run,
@@ -21,6 +20,14 @@ from statforge.models import (
     simulate_nlar1,
     stream,
 )
+
+
+def mc_standard_error(sample):
+    """Monte-Carlo standard error sd / sqrt(bulk ESS) of each posterior mean;
+    the draws are stored chain after chain."""
+    chains = sample.draws.reshape(mcmc.CHAINS, -1, sample.draws.shape[1])
+    _, ess = convergence(chains)
+    return sample.draws.std(axis=0, ddof=1) / np.sqrt(ess)
 
 
 class TestAcceptRule:
@@ -290,7 +297,7 @@ class TestBenchmarkModels:
         cfg_b = McmcConfig(chain_length=60_000, seed=8)
         a, _ = metropolis_run("nlar1", None, obs, cfg_a)
         b, _ = metropolis_run("nlar1", None, obs, cfg_b)
-        se = np.sqrt(batch_means_se(a.draws) ** 2 + batch_means_se(b.draws) ** 2)
+        se = np.sqrt(mc_standard_error(a) ** 2 + mc_standard_error(b) ** 2)
         diff = np.abs(a.draws.mean(axis=0) - b.draws.mean(axis=0))
         assert np.all(diff < 3 * se)
 

@@ -7,8 +7,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import fd_gradient, max_grad_error
 
 import statforge.tensor as T
-from statforge.enca import decode_forward, init_enca, training_losses
-from statforge.encoder import ENCODER_LAYERS, encode_batch, init_encoder
+from statforge.enca import EncaConfig, decode_forward, init_enca, train_enca, training_losses
+from statforge.encoder import ENCODER_LAYERS, encode_batch, encode_forward, init_encoder
+from statforge.inca import IncaConfig, init_inca, train_inca
+from statforge.inca import training_losses as inca_training_losses
 from statforge.errors import TrainingDivergedError
 
 
@@ -293,6 +295,88 @@ def oracle_encode(x, weights, prefix="encoder."):
     return out
 
 
+# Oracles: the conv, max-pool and ReLU backward as written before the layers
+# drew their arrays from the buffer pool (np.pad, im2col by reshape copy,
+# np.tensordot, two zeros_like, g * mask), and the encoder's backward
+# composed from them with every gradient accumulated into zeros.
+
+def plain_im2col(a, k):
+    length, chans = a.shape[-2:]
+    rows = sliding_window_view(a.reshape(-1, length * chans), k * chans, axis=-1)
+    return rows[:, ::chans].reshape(-1, k * chans)
+
+
+def plain_conv1d_backward(x, kernel, g):
+    """(dx, dK, db) of `conv1d_valid` for upstream gradient g."""
+    k, c_in, c_out = kernel.shape
+    win = sliding_window_view(x, k, axis=-2)
+    batch_axes = tuple(range(g.ndim - 1))
+    dk = np.tensordot(win, g, axes=(batch_axes[:-1] + (g.ndim - 2,), batch_axes))
+    pad = [(0, 0)] * g.ndim
+    pad[-2] = (k - 1, k - 1)
+    krev = np.ascontiguousarray(kernel[::-1].transpose(0, 2, 1))
+    dx = np.dot(plain_im2col(np.pad(g, pad), k), krev.reshape(k * c_out, c_in))
+    return dx.reshape(x.shape[:-1] + (c_in,)), dk.transpose(1, 0, 2), g.sum(axis=batch_axes)
+
+
+def plain_maxpool_backward(x, g, window=2):
+    n_out = x.shape[-2] // window
+    trimmed = x[..., : n_out * window, :]
+    shaped = trimmed.reshape(trimmed.shape[:-2] + (n_out, window, trimmed.shape[-1]))
+    arg = shaped.argmax(axis=-2)
+    gfull = np.zeros_like(shaped)
+    np.put_along_axis(gfull, arg[..., None, :], g[..., None, :], axis=-2)
+    gx = np.zeros_like(x)
+    gx[..., : n_out * window, :] = gfull.reshape(trimmed.shape)
+    return gx
+
+
+def into_zeros(g):
+    return np.zeros_like(g) + g
+
+
+def plain_encode_grads(x, weights, g, prefix="encoder."):
+    """Gradients of sum(encode(x) * g) w.r.t. every parameter, by the
+    formulas above; the input x is a constant."""
+    inputs, out = [], x
+    for name, _k, _filters, act in ENCODER_LAYERS:
+        inputs.append(out)
+        if name == "maxpool":
+            out = oracle_maxpool(out)
+        elif name == "globpool":
+            out = out.mean(axis=-2)
+        else:
+            out = oracle_conv1d(out, weights[prefix + name + ".kernel"].data,
+                                weights[prefix + name + ".bias"].data)
+            if act == "relu":
+                inputs.append(out)
+                out = oracle_relu(out)
+    grads = {}
+    grad = into_zeros(np.broadcast_to(g[..., None, :] / inputs[-1].shape[-2],
+                                      inputs[-1].shape).copy())
+    inputs.pop()
+    for name, _k, _filters, act in reversed(ENCODER_LAYERS[:-1]):
+        if name == "maxpool":
+            grad = into_zeros(plain_maxpool_backward(inputs.pop(), grad))
+            continue
+        if act == "relu":
+            grad = into_zeros(grad * (inputs.pop() > 0))
+        kernel = weights[prefix + name + ".kernel"].data
+        dx, dk, db = plain_conv1d_backward(inputs.pop(), kernel, grad)
+        grads[prefix + name + ".kernel"] = into_zeros(dk)
+        grads[prefix + name + ".bias"] = into_zeros(db)
+        grad = into_zeros(dx)
+    return grads
+
+
+def signed_zeros(rng, a, share=0.2):
+    """a with about `share` of its entries set to +0.0 and as many to -0.0."""
+    a = a.copy()
+    a[rng.random(a.shape) < share] = 0.0
+    a[rng.random(a.shape) < share] = -0.0
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Oracles: the LSTM cell loops as first written (strided gate passes, fresh
 # arrays for every intermediate).  `bilstm` computes its gates in place and
@@ -497,6 +581,70 @@ class TestLayerOracles:
             # gradients accumulate into zeros, which turns -0.0 into +0.0
             assert same_bytes(dx, np.zeros_like(g) + g * (x > 0))
 
+    @pytest.mark.parametrize("lead", [(7,), (12, 5)], ids=["3d", "4d"])
+    def test_conv1d_grads_match_plain_formulas(self, lead):
+        # the input is an intermediate node, so its gradient is the pooled
+        # accumulator the backward hands over
+        rng = np.random.default_rng(len(lead))
+        x = signed_zeros(rng, rng.standard_normal(lead + (30, 16)))
+        kernel = signed_zeros(rng, rng.standard_normal((3, 16, 32)))
+        bias = rng.standard_normal(32)
+        g = signed_zeros(rng, rng.standard_normal(lead + (28, 32)), 0.4)
+        x_leaf = T.Tensor(x, requires_grad=True)
+        params = [T.Tensor(a, requires_grad=True) for a in (kernel, bias)]
+        for _ in range(2):   # the second pass runs on pooled buffers
+            for t in [x_leaf] + params:
+                t.grad = None
+            x_node = T.reshape(x_leaf, x.shape)
+            out = T.conv1d_valid(x_node, *params)
+            T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+            dx, dk, db = plain_conv1d_backward(x, kernel, g)
+            assert same_bytes(x_leaf.grad, into_zeros(into_zeros(dx)))
+            assert same_bytes(params[0].grad, into_zeros(dk))
+            assert same_bytes(params[1].grad, into_zeros(db))
+            assert not np.signbit(x_leaf.grad[x_leaf.grad == 0]).any()
+
+    @pytest.mark.parametrize("length", [9, 98])
+    def test_maxpool_relu_grads_match_plain_formulas(self, length):
+        rng = np.random.default_rng(length)
+        x = signed_zeros(rng, rng.integers(-2, 3, (4, length, 16)).astype(float))
+        g = signed_zeros(rng, rng.standard_normal((4, length // 2, 16)), 0.4)
+        x_leaf = T.Tensor(x, requires_grad=True)
+        for _ in range(2):
+            x_leaf.grad = None
+            out = T.maxpool1d(T.relu(T.reshape(x_leaf, x.shape)))
+            T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+            relu_grad = into_zeros(plain_maxpool_backward(oracle_relu(x), g))
+            want = into_zeros(into_zeros(relu_grad * (x > 0)))
+            assert same_bytes(out.data, oracle_maxpool(oracle_relu(x)))
+            assert same_bytes(x_leaf.grad, want)
+
+    def test_matmul_grads_match_plain_formulas(self):
+        rng = np.random.default_rng(12)
+        x = signed_zeros(rng, rng.standard_normal((64, 100, 32)))
+        w = signed_zeros(rng, rng.standard_normal((32, 1)))
+        g = signed_zeros(rng, rng.standard_normal((64, 100, 1)), 0.4)
+        x_leaf, w_leaf = T.Tensor(x, requires_grad=True), T.Tensor(w, requires_grad=True)
+        for _ in range(2):
+            x_leaf.grad = w_leaf.grad = None
+            out = T.matmul(T.reshape(x_leaf, x.shape), w_leaf)
+            T.backward(T.tsum(T.mul(out, T.Tensor(g))))
+            assert same_bytes(x_leaf.grad, into_zeros(into_zeros(g @ w.T)))
+            assert same_bytes(w_leaf.grad, into_zeros(x.reshape(-1, 32).T @ g.reshape(-1, 1)))
+
+    def test_inca_encoder_grads_match_plain_formulas(self):
+        rng = np.random.default_rng(11)
+        store = init_encoder(3, rng)
+        x = signed_zeros(rng, rng.standard_normal((12, 5, 100, 1)))
+        g = rng.standard_normal((12, 5, 3))
+        want = plain_encode_grads(x, store.params, g)
+        for _ in range(2):
+            store.zero_grad()
+            s = encode_forward(store.params, T.Tensor(x))
+            T.backward(T.tsum(T.mul(s, T.Tensor(g))))
+            for name, grad in want.items():
+                assert same_bytes(store[name].grad, grad), name
+
     def test_encode_batch_bytes(self):
         rng = np.random.default_rng(4)
         store = init_encoder(3, rng)
@@ -625,10 +773,13 @@ class TestLstmBuffers:
         s = rng.random((16, 3))
         noise = rng.standard_normal((16, 40, 1))
         y = decode_forward(store.params, T.Tensor(s), noise).data
-        before = y.copy()
+        h = T.bilstm(T.Tensor(rng.random((16, 40, 4))),
+                     *[store[f"decoder.bilstm1.{k}"]
+                       for k in ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b")]).data
+        before = y.copy(), h.copy()
         for seed in range(1, 4):
             enca_step(store, seed)
-        assert same_bytes(y, before)
+        assert same_bytes(y, before[0]) and same_bytes(h, before[1])
 
     def test_pending_graph_keeps_its_cache(self):
         # a graph built but not yet differentiated keeps its buffers while
@@ -646,7 +797,9 @@ class TestLstmBuffers:
         _, ref = oracle_bilstm(x, params, g)
         assert all(same_bytes(t.grad, r) for t, r in zip(tensors, ref))
 
-    def test_spare_list_bound(self):
+    def test_spare_list_bound(self, monkeypatch):
+        # a pool far smaller than the graphs' buffers stays within its bound
+        monkeypatch.setattr(T, "POOL", T.BufferPool(4000))
         rng = np.random.default_rng(10)
         graphs = []
         for n_steps in (3, 4, 5):
@@ -657,11 +810,13 @@ class TestLstmBuffers:
                 graphs.append(T.tsum(T.bilstm(*tensors)))
         for loss in graphs:
             T.backward(loss)
-            assert len(T._SPARE) <= T._SPARE_MAX
+            assert 0 < T.POOL.nbytes <= 4000
+            assert sum(b.nbytes for bufs in T.POOL.idle.values() for b in bufs) == T.POOL.nbytes
+            assert T.POOL.sizes == sorted(T.POOL.idle)
 
-    def test_second_enca_step_allocates_less(self):
+    def test_second_enca_step_allocates_less(self, monkeypatch):
+        monkeypatch.setattr(T, "POOL", T.BufferPool(T.POOL_MAX_BYTES))
         store = init_enca("nlar1", 3, np.random.default_rng(2))
-        T._SPARE.clear()
         growth = []
         tracemalloc.start()
         try:
@@ -674,6 +829,118 @@ class TestLstmBuffers:
             tracemalloc.stop()
         # the warm step takes the LSTM buffers back instead of allocating them
         assert growth[1] < growth[0] - 20e6, growth
+
+
+def inca_step(store, seed, theta_batch=12, n_rep=5, n_steps=100):
+    """One INCA training step (forward, backward, Adam) on fixed data."""
+    rng = np.random.default_rng(seed)
+    thetas = np.column_stack([rng.uniform(4.2, 5.8, theta_batch),
+                              rng.uniform(0.05, 0.5, theta_batch)])
+    x = rng.standard_normal((theta_batch, n_rep, n_steps))
+    store.zero_grad()
+    loss = inca_training_losses(store, thetas, x, 2)[0]
+    T.backward(loss)
+    T.adam_step(store, store.gradients())
+
+
+def graph_nodes(loss):
+    nodes, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def pool_snapshot():
+    return ({size: [id(b) for b in bufs] for size, bufs in T.POOL.idle.items()},
+            T.POOL.nbytes, T.POOL.counts())
+
+
+class TestBufferPool:
+    def test_warm_inca_step_allocates_nothing(self, monkeypatch):
+        monkeypatch.setattr(T, "POOL", T.BufferPool(T.POOL_MAX_BYTES))
+        cfg = IncaConfig(q=3, n_replicas=5, theta_batch=12, n_steps=100, steps=1,
+                         seed=3, log_every=1)
+        cold = train_inca("nlar1", cfg).meta["buffer_pool"]
+        warm = train_inca("nlar1", cfg).meta["buffer_pool"]
+        assert cold["misses"] > 0
+        assert warm == {"hits": cold["hits"] + cold["misses"], "misses": 0}
+
+    def test_warm_enca_step_allocates_nothing(self, monkeypatch):
+        monkeypatch.setattr(T, "POOL", T.BufferPool(T.POOL_MAX_BYTES))
+        cfg = EncaConfig(q=3, minibatch=64, n_steps=100, steps=1, seed=4, c_x=0.05,
+                         log_every=1)
+        cold = train_enca("nlar1", cfg).meta["buffer_pool"]
+        warm = train_enca("nlar1", cfg).meta["buffer_pool"]
+        assert cold["misses"] > 0
+        assert warm == {"hits": cold["hits"] + cold["misses"], "misses": 0}
+
+    def test_inference_leaves_the_pool_alone(self):
+        store = init_inca("nlar1", 3, np.random.default_rng(5))
+        inca_step(store, 0)
+        assert T.POOL.nbytes > 0
+        before = pool_snapshot()
+        x = np.random.default_rng(6).standard_normal((1000, 100))
+        encode_batch(x, store.arrays())
+        encode_batch(x, store.params)
+        assert pool_snapshot() == before
+
+    def test_layers_of_one_inca_graph_share_no_memory(self):
+        store = init_inca("nlar1", 3, np.random.default_rng(0))
+        for seed in range(2):  # fill the pool first
+            inca_step(store, seed)
+        rng = np.random.default_rng(7)
+        thetas = np.column_stack([rng.uniform(4.2, 5.8, 12), rng.uniform(0.05, 0.5, 12)])
+        loss = inca_training_losses(store, thetas, rng.standard_normal((12, 5, 100)), 2)[0]
+        nodes = graph_nodes(loss)
+        pooled = [n.data for n in nodes if n._pooled]
+        assert len(pooled) == 10   # the conv, relu and maxpool outputs
+        for a in pooled:
+            for n in nodes:
+                if n.data is not a and np.shares_memory(n.data, a):
+                    # only views of a pooled output may overlap it
+                    assert n.data.base is a.base and not n._pooled
+
+    def test_forward_only_output_survives_inca_training(self):
+        store = init_inca("nlar1", 3, np.random.default_rng(1))
+        inca_step(store, 0)
+        rng = np.random.default_rng(8)
+        x = T.Tensor(rng.standard_normal((12, 5, 100, 1)))
+        # outputs of graphs that are never differentiated: one held as an
+        # array after its node has died, one held as a view
+        y = T.conv1d_valid(x, store["encoder.conv1_1.kernel"],
+                           store["encoder.conv1_1.bias"]).data
+        z = T.relu(T.conv1d_valid(x, store["encoder.conv1_1.kernel"],
+                                  store["encoder.conv1_1.bias"])).data[0]
+        before = y.copy(), z.copy()
+        for seed in range(1, 4):
+            inca_step(store, seed)
+        assert same_bytes(y, before[0]) and same_bytes(z, before[1])
+
+    def test_released_output_is_reused(self):
+        store = init_inca("nlar1", 3, np.random.default_rng(2))
+        inca_step(store, 0)
+        x = T.Tensor(np.random.default_rng(9).standard_normal((12, 5, 100, 1)))
+        out = T.conv1d_valid(x, store["encoder.conv1_1.kernel"],
+                             store["encoder.conv1_1.bias"])
+        buf = id(out.data.base)
+        del out
+        assert any(id(b) == buf for bufs in T.POOL.idle.values() for b in bufs)
+
+    def test_best_fit_and_eviction(self):
+        pool = T.BufferPool(max_bytes=8 * 250)
+        a, b = pool.take((10, 10)), pool.take((140,))
+        assert pool.counts() == {"hits": 0, "misses": 2}
+        pool.give(b, a)
+        c = pool.take((9, 10))          # the 100-element buffer fits best
+        assert c.base is a.base and c.shape == (9, 10)
+        d = pool.take((60,))            # 140 > 1.5 * 60: a new buffer
+        assert d.base is not b.base and pool.counts() == {"hits": 1, "misses": 3}
+        pool.give(c, d)                 # 300 elements idle: the 140 go first
+        assert pool.sizes == [60, 100] and pool.nbytes == 8 * 160
 
 
 class TestSigmoidOpenInterval:
