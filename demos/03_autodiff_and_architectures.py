@@ -12,7 +12,7 @@ import numpy as np
 
 import statforge.tensor as T
 from statforge.enca import decode_forward, init_enca
-from statforge.encoder import count_parameters, encoder_subset, init_encoder, shape_trace
+from statforge.encoder import encoder_subset, init_encoder, shape_trace
 from statforge.inca import WNET_LAYERS, init_inca
 
 print("=" * 70)
@@ -45,9 +45,9 @@ print("=" * 70)
 print("3. Parameter counts (length-invariant by construction)")
 print("=" * 70)
 enc = init_encoder(3, np.random.default_rng(2))
-print(f"  encoder q=3:            {count_parameters(enc):6d}")
-print(f"  ENCA total (nlar1, q=3): {count_parameters(init_enca('nlar1', 3, np.random.default_rng(3))):6d}")
-print(f"  INCA total (nlar1, q=4): {count_parameters(init_inca('nlar1', 4, np.random.default_rng(4))):6d}")
+print(f"  encoder q=3:            {T.count_parameters(enc):6d}")
+print(f"  ENCA total (nlar1, q=3): {T.count_parameters(init_enca('nlar1', 3, np.random.default_rng(3))):6d}")
+print(f"  INCA total (nlar1, q=4): {T.count_parameters(init_inca('nlar1', 4, np.random.default_rng(4))):6d}")
 print("  (the encoder never sees the trajectory length: global average pooling)")
 
 print()

@@ -38,8 +38,6 @@ from .models import (
     simulate_nlar1,
     stream,
     transition_density,
-    transition_density_dynamo,
-    transition_density_nlar1,
 )
 from .samples import SampleSet
 from .suffstats import SufficientStats, suff_stats

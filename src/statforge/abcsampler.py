@@ -32,6 +32,7 @@ from .models import (
     Trajectory,
     draw_noise_batch,
     model_spec,
+    prior_predictive,
     row_streams,
     sample_prior,
     simulate_batch,
@@ -146,12 +147,8 @@ def fit_standardizer(model, stats_fn, m: int = 2000, seed: int = 0,
     if m < 1000:
         raise ValueError("standardizer needs m >= 1000 prior-predictive simulations")
     spec = model_spec(model)
-    prior = spec.prior
-    rng = stream(seed, 0xF17)
-    thetas = sample_prior(prior, rng, size=m)
-    noise = draw_noise_batch(spec, m, n_steps, rng)
-    x = simulate_batch(spec, thetas, noise, x0=prior.x0)
-    return standardizer_from_stats(stats_fn(x, prior.x0), seed=seed)
+    _, _, x = prior_predictive(spec, m, n_steps, stream(seed, 0xF17))
+    return standardizer_from_stats(stats_fn(x, spec.prior.x0), seed=seed)
 
 
 def distance(s_sim, s_obs, std: Standardizer):

@@ -1,8 +1,9 @@
 """Run configuration files and output manifests.
 
 Configs are flat INI-style sections (diff-friendly, language-neutral); CLI
-flags override file values and the merged result is what the manifest
-records, so a run is reconstructible from its manifest alone.
+flags override file values, which override the defaults at each read site,
+and the manifest records the values the run used, so a run is
+reconstructible from its manifest alone.
 """
 
 from __future__ import annotations
@@ -19,30 +20,18 @@ import numpy as np
 
 from .models import DEFAULT_DYNAMO_MAP, DynamoMap, ModelSpec, PriorSpec, model_spec
 
-DEFAULTS = {
-    "model": {"id": "nlar1", "n_steps": "200"},
-    "dynamo_f2": {"x1": "0.5", "d1": "0.15", "x2": "1.3", "d2": "0.25"},
-    "enca": {"q": "3", "steps": "1000", "lr": "1e-3", "seed": "0",
-             "log_every": "100"},
-    "inca": {"q": "3", "n_replicas": "5", "theta_batch": "60", "steps": "1000",
-             "lr": "1e-3", "seed": "0", "log_every": "100"},
-    "abc": {"population": "1000", "budget": "100000", "velocity": "0.3",
-            "proposal_scale": "0.5", "seed": "0"},
-    "mcmc": {"chain_length": "200000", "burn_in_frac": "0.25", "thin": "10",
-             "seed": "0"},
-}
-
 
 def load_config(path=None) -> dict:
-    """Defaults, overlaid with the sections of an INI file when given."""
-    merged = {sec: dict(vals) for sec, vals in DEFAULTS.items()}
-    if path is not None:
-        parser = configparser.ConfigParser()
-        with open(path) as fh:
-            parser.read_file(fh)
-        for sec in parser.sections():
-            merged.setdefault(sec, {}).update(dict(parser[sec]))
-    return merged
+    """The sections of an INI file as {section: {key: raw string}}; {} without one.
+
+    Defaults live at the read sites, as the ``default`` of ``config_get``.
+    """
+    if path is None:
+        return {}
+    parser = configparser.ConfigParser()
+    with open(path) as fh:
+        parser.read_file(fh)
+    return {sec: dict(parser[sec]) for sec in parser.sections()}
 
 
 def config_get(cfg: dict, section: str, key: str, cast=str, default=None):

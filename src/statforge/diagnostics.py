@@ -16,13 +16,10 @@ import numpy as np
 
 from .encoder import encode_batch
 from .models import (
-    ModelSpec,
     PriorSpec,
-    draw_bare_noise,
     draw_noise_batch,
     model_spec,
-    sample_prior,
-    simulate,
+    prior_predictive,
     simulate_batch,
     stream,
 )
@@ -149,12 +146,8 @@ def auc_score(scores, labels) -> float:
 # figure-data tables
 # ---------------------------------------------------------------------------
 
-def simulate_prior_batch(spec: ModelSpec, m: int, seed: int, n_steps: int):
-    rng = stream(seed, 0xD1A)
-    thetas = sample_prior(spec.prior, rng, size=m)
-    noise = draw_noise_batch(spec, m, n_steps, rng)
-    x = simulate_batch(spec, thetas, noise, x0=spec.prior.x0)
-    return thetas, x
+# stream tag of the prior batch; both scatters draw the same one for a seed
+_SCATTER_TAG = 0xD1A
 
 
 def regression_scatter(weights, model, m: int, seed: int = 0, n_steps: int = 200):
@@ -165,7 +158,7 @@ def regression_scatter(weights, model, m: int, seed: int = 0, n_steps: int = 200
     """
     spec = model_spec(model)
     prior = spec.prior
-    thetas, x = simulate_prior_batch(spec, m, seed, n_steps)
+    thetas, _, x = prior_predictive(spec, m, n_steps, stream(seed, _SCATTER_TAG))
     stats = encode_batch(x, weights)
     p = prior.dim
     corr = np.array([pearson(stats[:, j], thetas[:, j]) for j in range(p)])
@@ -229,7 +222,7 @@ def latent_scatter(weights, model, m: int, seed: int = 0, n_steps: int = 200,
                         x0=prior.x0)
     o_pilot = stats_batch(xp, prior.x0)[:, 2]
     tau = attractor_threshold(o_pilot)
-    thetas, x = simulate_prior_batch(spec, m, seed, n_steps)
+    thetas, _, x = prior_predictive(spec, m, n_steps, stream(seed, _SCATTER_TAG))
     stats = encode_batch(x, weights)
     order = stats_batch(x, prior.x0)[:, 2]
     if tau is None:
@@ -254,39 +247,4 @@ def latent_scatter_csv(table) -> str:
         row.append(repr(float(table["order"][i])))
         row.append("" if labels is None else int(labels[i]))
         w.writerow(row)
-    return buf.getvalue()
-
-
-def reconstruction_overlay(weights_a, weights_b, model, theta,
-                           seed: int = 0, n_steps: int = 200):
-    """One held-out trajectory against its two reconstructions.
-
-    ``weights_a`` / ``weights_b`` are trained ENCA weight mappings (e.g. two
-    different latent dimensions).  Returns aligned columns (step, x, x_hat_a,
-    x_hat_b).
-    """
-    from .enca import enca_decode
-    from .encoder import encode, infer_q
-
-    spec = model_spec(model)
-    noise = draw_bare_noise(spec, n_steps, seed)
-    traj = simulate(spec, np.asarray(theta, dtype=float), noise)
-    cols = {"step": np.arange(1, n_steps + 1), "x": traj.x}
-    for tag, wts in (("a", weights_a), ("b", weights_b)):
-        s = encode(traj, wts)
-        if s.shape[0] != infer_q(wts):
-            raise ValueError("weights/statistics dimension mismatch")
-        cols[f"x_hat_{tag}"] = enca_decode(s, noise, wts).x_hat
-    return cols
-
-
-def overlay_csv(cols) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    keys = list(cols)
-    w.writerow(keys)
-    n = len(cols["step"])
-    for i in range(n):
-        w.writerow([int(cols[k][i]) if k == "step" else repr(float(cols[k][i]))
-                    for k in keys])
     return buf.getvalue()

@@ -14,22 +14,13 @@ sit arbitrarily close to zero in the zero attractor; the default floor is
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as T
 from .encoder import encode_forward, init_encoder
-from .errors import TrainingDivergedError
-from .models import (
-    BareNoise,
-    draw_noise_batch,
-    model_spec,
-    sample_prior,
-    simulate_batch,
-    stream,
-)
+from .models import BareNoise, model_spec, prior_predictive, stream
 
 
 @dataclass
@@ -42,7 +33,6 @@ class EncaConfig:
     n_steps: int = 200
     c_x: float | None = None       # None -> pilot estimate
     log_every: int = 100
-    checkpoint_every: int = 10_000
 
 
 @dataclass
@@ -51,14 +41,6 @@ class Reconstruction:
 
     def __post_init__(self):
         self.x_hat = np.asarray(self.x_hat, dtype=float)
-
-
-@dataclass
-class TrainResult:
-    store: T.ParameterStore
-    log: list
-    meta: dict
-    diverged: bool = False
 
 
 def _init_bilstm(store: T.ParameterStore, prefix: str, c_in: int, units: int,
@@ -83,13 +65,8 @@ def init_enca(model, q: int, rng: np.random.Generator) -> T.ParameterStore:
     return store
 
 
-def _param(weights, name: str) -> T.Tensor:
-    v = weights[name]
-    return v if isinstance(v, T.Tensor) else T.Tensor(v)
-
-
 def _bilstm_params(weights, prefix: str):
-    return tuple(_param(weights, f"{prefix}{k}")
+    return tuple(T.astensor(weights[f"{prefix}{k}"])
                  for k in ("wx_f", "wh_f", "b_f", "wx_b", "wh_b", "b_b"))
 
 
@@ -110,8 +87,8 @@ def decode_forward(weights, s, noise: np.ndarray):
     h = T.concat([T.tile_time(s, n_steps), T.Tensor(noise)], axis=-1)
     h = T.bilstm(h, *_bilstm_params(weights, "decoder.bilstm1."))
     h = T.bilstm(h, *_bilstm_params(weights, "decoder.bilstm2."))
-    y = T.dense(h, _param(weights, "decoder.fc.weight"),
-                _param(weights, "decoder.fc.bias"), "linear")
+    y = T.dense(h, T.astensor(weights["decoder.fc.weight"]),
+                T.astensor(weights["decoder.fc.bias"]), "linear")
     return T.reshape(y, y.shape[:-1])
 
 
@@ -125,12 +102,7 @@ def enca_decode(s, noise: BareNoise, weights) -> Reconstruction:
 def estimate_cx(model, n_pilot: int = 10_000, n_steps: int = 200,
                 seed: int = 0) -> float:
     """Denominator floor: 0.05 * prior-predictive std of |x| over a pilot run."""
-    spec = model_spec(model)
-    prior = spec.prior
-    rng = stream(seed, 0xC0)
-    thetas = sample_prior(prior, rng, size=n_pilot)
-    noise = draw_noise_batch(spec, n_pilot, n_steps, rng)
-    x = simulate_batch(spec, thetas, noise, x0=prior.x0)
+    _, _, x = prior_predictive(model, n_pilot, n_steps, stream(seed, 0xC0))
     return 0.05 * float(np.std(np.abs(x)))
 
 
@@ -148,7 +120,7 @@ def training_losses(store, thetas, noise, x, c_x: float):
     return T.add(reg, rec), reg, rec
 
 
-def train_enca(model, cfg: EncaConfig) -> TrainResult:
+def train_enca(model, cfg: EncaConfig) -> T.TrainResult:
     """On-the-fly training: fresh prior draws and noise every step.
 
     ``model`` is a ModelSpec or a model id; its prior and f2 drive every
@@ -157,11 +129,9 @@ def train_enca(model, cfg: EncaConfig) -> TrainResult:
     or a gradient goes non-finite.
     """
     spec = model_spec(model)
-    prior = spec.prior
     minibatch = cfg.minibatch if cfg.minibatch is not None else spec.enca_minibatch
-    init_rng = stream(cfg.seed, 1)
+    store = init_enca(spec, cfg.q, stream(cfg.seed, 1))
     data_rng = stream(cfg.seed, 2)
-    store = init_enca(spec, cfg.q, init_rng)
     c_x = cfg.c_x if cfg.c_x is not None else estimate_cx(
         spec, n_steps=cfg.n_steps, seed=cfg.seed)
     meta = {
@@ -172,35 +142,10 @@ def train_enca(model, cfg: EncaConfig) -> TrainResult:
         "init": "glorot-uniform conv/dense, uniform lstm with forget bias 1.0",
         "conv3_bias": True,
     }
-    log: list = []
-    checkpoint = store.clone()
-    pool_start = T.POOL.counts()
-    t_start = time.perf_counter()
-    for step in range(cfg.steps):
-        thetas = sample_prior(prior, data_rng, size=minibatch)
-        noise = draw_noise_batch(spec, minibatch, cfg.n_steps, data_rng)
-        x = simulate_batch(spec, thetas, noise, x0=prior.x0)
-        store.zero_grad()
-        try:
-            loss, reg, rec = training_losses(store, thetas, noise, x, c_x)
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(f"non-finite loss at step {step + 1}")
-            T.backward(loss)
-            T.adam_step(store, store.gradients(), lr=cfg.lr)
-        except TrainingDivergedError as err:
-            err.checkpoint = checkpoint
-            err.log = log
-            raise
-        if (step + 1) % cfg.log_every == 0 or step == 0:
-            log.append({
-                "step": step + 1,
-                "loss": float(loss.data),
-                "regression": float(reg.data),
-                "reconstruction": float(rec.data),
-                "wall_time_s": time.perf_counter() - t_start,
-            })
-        if (step + 1) % cfg.checkpoint_every == 0:
-            checkpoint = store.clone()
-    # takes served from the buffer pool and fresh allocations, this call
-    meta["buffer_pool"] = {k: n - pool_start[k] for k, n in T.POOL.counts().items()}
-    return TrainResult(store=store, log=log, meta=meta)
+
+    def batch_losses():
+        thetas, noise, x = prior_predictive(spec, minibatch, cfg.n_steps, data_rng)
+        loss, reg, rec = training_losses(store, thetas, noise, x, c_x)
+        return loss, {"regression": reg, "reconstruction": rec}
+
+    return T.train(store, batch_losses, cfg.steps, cfg.lr, cfg.log_every, meta)

@@ -51,11 +51,6 @@ def init_encoder(q: int, rng: np.random.Generator,
     return store
 
 
-def _as_param(weights, name: str) -> T.Tensor:
-    value = weights[name]
-    return value if isinstance(value, T.Tensor) else T.Tensor(value)
-
-
 def encode_forward(weights, x, prefix: str = "encoder.", trace: list | None = None):
     """Differentiable forward pass; ``x`` is a Tensor (..., L, C)."""
     x = T.astensor(x)
@@ -70,8 +65,8 @@ def encode_forward(weights, x, prefix: str = "encoder.", trace: list | None = No
         elif name == "globpool":
             out = T.global_avg_pool(out)
         else:
-            out = T.conv1d_valid(out, _as_param(weights, prefix + name + ".kernel"),
-                                 _as_param(weights, prefix + name + ".bias"))
+            out = T.conv1d_valid(out, T.astensor(weights[prefix + name + ".kernel"]),
+                                 T.astensor(weights[prefix + name + ".bias"]))
             if act == "relu":
                 out = T.relu(out)
         if trace is not None:
@@ -98,7 +93,7 @@ def encode_batch(x: np.ndarray, weights) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         x = x[..., None]
-    constants = {key: _as_param(weights, key).detach()
+    constants = {key: T.astensor(weights[key]).detach()
                  for name, _k, filters, _act in ENCODER_LAYERS if filters is not None
                  for key in (f"encoder.{name}.kernel", f"encoder.{name}.bias")}
     return encode_forward(constants, T.Tensor(x)).data
@@ -117,11 +112,6 @@ def encoder_subset(weights) -> dict:
     if not sub:
         raise ValueError("no encoder.* entries in weights")
     return sub
-
-
-def count_parameters(weights) -> int:
-    """Exact trainable-scalar count of a store or name->array mapping."""
-    return T.count_parameters(weights)
 
 
 def infer_q(weights) -> int:

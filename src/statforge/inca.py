@@ -14,14 +14,13 @@ invariant under any permutation of the replicas.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import tensor as T
 from .encoder import encode_batch, encode_forward, init_encoder
-from .errors import StatforgeError, TrainingDivergedError
+from .errors import StatforgeError
 from .models import (
     draw_noise_batch,
     model_spec,
@@ -48,10 +47,7 @@ class IncaConfig:
     lr: float = 1e-3
     seed: int = 0
     n_steps: int = 200
-    normalize_loss: bool = False   # divide the replica term by n*p and the
-                                   # aggregate term by p (off: plain sums)
     log_every: int = 100
-    checkpoint_every: int = 10_000
 
 
 @dataclass
@@ -60,14 +56,6 @@ class AggregatedEstimate:
 
     def __post_init__(self):
         self.theta_hat = np.asarray(self.theta_hat, dtype=float)
-
-
-@dataclass
-class IncaTrainResult:
-    store: T.ParameterStore
-    log: list
-    meta: dict
-    diverged: bool = False
 
 
 def init_inca(model, q: int, rng: np.random.Generator) -> T.ParameterStore:
@@ -82,17 +70,12 @@ def init_inca(model, q: int, rng: np.random.Generator) -> T.ParameterStore:
     return store
 
 
-def _param(weights, name: str) -> T.Tensor:
-    v = weights[name]
-    return v if isinstance(v, T.Tensor) else T.Tensor(v)
-
-
 def weight_fn_forward(weights, aux):
     """Differentiable weight net on auxiliary statistics (..., q-p) -> (..., 1)."""
     out = T.astensor(aux)
     for name, _units, act in WNET_LAYERS:
-        out = T.dense(out, _param(weights, f"wnet.{name}.weight"),
-                      _param(weights, f"wnet.{name}.bias"), act)
+        out = T.dense(out, T.astensor(weights[f"wnet.{name}.weight"]),
+                      T.astensor(weights[f"wnet.{name}.bias"]), act)
     return out
 
 
@@ -123,7 +106,7 @@ def aggregate(stats, w, p: int) -> AggregatedEstimate:
     return AggregatedEstimate(theta_hat=num / total)
 
 
-def inca_loss(stats, theta_hat, theta, normalize: bool = False) -> float:
+def inca_loss(stats, theta_hat, theta) -> float:
     """Replica regression residuals plus aggregate residual (relative errors)."""
     stats = np.atleast_2d(np.asarray(stats, dtype=float))
     theta_hat = np.asarray(getattr(theta_hat, "theta_hat", theta_hat), dtype=float)
@@ -133,13 +116,10 @@ def inca_loss(stats, theta_hat, theta, normalize: bool = False) -> float:
     order = _canonical_order(stats, np.zeros(stats.shape[0]))
     term1 = float(np.sum((rel * rel)[order]))
     term2 = float(np.sum(((theta_hat - theta) / theta) ** 2))
-    if normalize:
-        term1 /= stats.shape[0] * p
-        term2 /= p
     return term1 + term2
 
 
-def training_losses(store, thetas, x, p: int, normalize: bool = False):
+def training_losses(store, thetas, x, p: int):
     """Loss tensors for one (theta-batch, replicas) minibatch."""
     n_theta, n_rep, n_steps = x.shape
     q = store["encoder.conv3.bias"].data.shape[0]
@@ -156,13 +136,10 @@ def training_losses(store, thetas, x, p: int, normalize: bool = False):
     theta_hat = T.div(num, den)
     rel2 = T.mul(T.sub(theta_hat, thetas), 1.0 / thetas)
     term2 = T.mul(T.tsum(T.mul(rel2, rel2)), 1.0 / n_theta)
-    if normalize:
-        term1 = T.mul(term1, 1.0 / (n_rep * p))
-        term2 = T.mul(term2, 1.0 / p)
     return T.add(term1, term2), term1, term2, theta_hat
 
 
-def train_inca(model, cfg: IncaConfig) -> IncaTrainResult:
+def train_inca(model, cfg: IncaConfig) -> T.TrainResult:
     """Per step: draw theta batch, simulate n replicas each, encode, aggregate.
 
     ``model`` is a ModelSpec or a model id; its prior and f2 drive every
@@ -170,10 +147,8 @@ def train_inca(model, cfg: IncaConfig) -> IncaTrainResult:
     """
     spec = model_spec(model)
     prior = spec.prior
-    p = prior.dim
-    init_rng = stream(cfg.seed, 1)
+    store = init_inca(spec, cfg.q, stream(cfg.seed, 1))
     data_rng = stream(cfg.seed, 2)
-    store = init_inca(spec, cfg.q, init_rng)
     meta = {
         "model": spec.record(),
         "architecture": "inca",
@@ -181,41 +156,18 @@ def train_inca(model, cfg: IncaConfig) -> IncaTrainResult:
         "init": "glorot-uniform conv/dense",
         "conv3_bias": True,
     }
-    log: list = []
-    checkpoint = store.clone()
-    pool_start = T.POOL.counts()
-    t_start = time.perf_counter()
-    for step in range(cfg.steps):
+
+    def batch_losses():
+        # not prior_predictive: the noise rows follow the repeated thetas
         thetas = sample_prior(prior, data_rng, size=cfg.theta_batch)
         rep_thetas = np.repeat(thetas, cfg.n_replicas, axis=0)
         noise = draw_noise_batch(spec, rep_thetas.shape[0], cfg.n_steps, data_rng)
         x = simulate_batch(spec, rep_thetas, noise, x0=prior.x0)
         x = x.reshape(cfg.theta_batch, cfg.n_replicas, cfg.n_steps)
-        store.zero_grad()
-        try:
-            loss, term1, term2, _ = training_losses(store, thetas, x, p,
-                                                    normalize=cfg.normalize_loss)
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(f"non-finite loss at step {step + 1}")
-            T.backward(loss)
-            T.adam_step(store, store.gradients(), lr=cfg.lr)
-        except TrainingDivergedError as err:
-            err.checkpoint = checkpoint
-            err.log = log
-            raise
-        if (step + 1) % cfg.log_every == 0 or step == 0:
-            log.append({
-                "step": step + 1,
-                "loss": float(loss.data),
-                "replica_term": float(term1.data),
-                "aggregate_term": float(term2.data),
-                "wall_time_s": time.perf_counter() - t_start,
-            })
-        if (step + 1) % cfg.checkpoint_every == 0:
-            checkpoint = store.clone()
-    # takes served from the buffer pool and fresh allocations, this call
-    meta["buffer_pool"] = {k: n - pool_start[k] for k, n in T.POOL.counts().items()}
-    return IncaTrainResult(store=store, log=log, meta=meta)
+        loss, term1, term2, _ = training_losses(store, thetas, x, prior.dim)
+        return loss, {"replica_term": term1, "aggregate_term": term2}
+
+    return T.train(store, batch_losses, cfg.steps, cfg.lr, cfg.log_every, meta)
 
 
 def predict_theta(weights, x_replicas: np.ndarray, p: int) -> np.ndarray:

@@ -400,8 +400,9 @@ def _dynamo_regressor(x, f2: DynamoMap) -> np.ndarray:
 
 
 def _dynamo_log_density(x_next, c, theta):
-    """Log of the trapezoid density of A*c + E at x_next, given the regressor
-    c = f2(x); -inf outside the support."""
+    """Log of the density of A*c + E at x_next, A ~ U[alpha, alpha+delta],
+    E ~ U[0, eps], c = f2(x): a trapezoid on [alpha*c, alpha*c + delta*c + eps]
+    with ramps of width min(delta*c, eps); -inf outside the support."""
     alpha, delta, eps_amp = _theta_columns(theta)
     if np.any(delta < 0) or np.any(eps_amp < 0):
         raise InvalidParameterError("delta and eps must be >= 0")
@@ -436,23 +437,6 @@ def transition_density(model, x_next, x, theta):
     out = np.exp(spec.log_density(np.asarray(x_next, dtype=float),
                                   spec.regressor(x, spec.f2), theta))
     return out if out.ndim else float(out)
-
-
-def transition_density_nlar1(x_next, x, theta):
-    """Gaussian one-step density N(alpha*f(x), sigma^2) at x_next."""
-    return transition_density(NLAR1, x_next, x, theta)
-
-
-def transition_density_dynamo(x_next, x, theta):
-    """Density of A*c + E with A ~ U[alpha, alpha+delta], E ~ U[0, eps], c = f2(x).
-
-    The sum of two independent uniforms gives a trapezoid supported on
-    [alpha*c, alpha*c + delta*c + eps]: linear ramps of width min(delta*c, eps)
-    and a flat top of height 1/max(delta*c, eps).  Either width may vanish,
-    collapsing to a single uniform; both vanishing is a point mass and raises.
-    Uses the shipped f2; ``transition_density`` takes a spec with another.
-    """
-    return transition_density(DYNAMO, x_next, x, theta)
 
 
 def log_likelihood_fn(traj: Trajectory, model):
@@ -526,6 +510,15 @@ def sample_prior(prior: PriorSpec, rng: np.random.Generator,
     if size is None:
         return prior.lower + rng.random(prior.dim) * prior.ranges
     return prior.lower + rng.random((size, prior.dim)) * prior.ranges
+
+
+def prior_predictive(model, m: int, n_steps: int, rng: np.random.Generator):
+    """m prior draws, their bare noise and their trajectories, drawn from
+    ``rng`` in that order; returns (thetas (m, p), noise (m, N, c), x (m, N))."""
+    spec = model_spec(model)
+    thetas = sample_prior(spec.prior, rng, size=m)
+    noise = draw_noise_batch(spec, m, n_steps, rng)
+    return thetas, noise, simulate_batch(spec, thetas, noise, x0=spec.prior.x0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ training is bit-reproducible.
 Graphs are built only while some input requires gradients, so the same ops
 double as a plain (graph-free) inference path.
 
+Both autoencoders train through one driver, `train`: each step it zeroes
+the gradients, asks a model-specific closure for one fresh minibatch's loss
+and named loss terms, runs `backward` and `adam_step`, and keeps the log,
+the checkpoint and the divergence check.  The autoencoder modules only say
+what a minibatch is and which loss it gives.
+
 Training steps draw their large arrays from one module-level buffer pool,
 `POOL`, and give them back once they are dead, so a step reuses the memory
 of the step before instead of having the kernel zero fresh pages.  Pooled
@@ -40,6 +46,8 @@ import json
 import math
 import struct
 import sys
+import time
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -911,6 +919,55 @@ def adam_step(store: ParameterStore, grads: dict, lr: float = 1e-3,
         v += (1.0 - beta2) * g * g
         tensor_.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
     return store
+
+
+# steps between the snapshots a TrainingDivergedError carries
+CHECKPOINT_EVERY = 10_000
+
+
+@dataclass
+class TrainResult:
+    store: ParameterStore
+    log: list
+    meta: dict
+
+
+def train(store: ParameterStore, batch_losses, steps: int, lr: float,
+          log_every: int, meta: dict) -> TrainResult:
+    """Adam on ``store`` for ``steps`` fresh minibatches.
+
+    ``batch_losses()`` draws one minibatch and returns ``(loss, terms)``,
+    ``terms`` a dict of named loss tensors.  Step 1 and every ``log_every``-th
+    step log ``step``, ``loss``, the terms in order and ``wall_time_s``.  A
+    non-finite loss or gradient raises TrainingDivergedError carrying the
+    last checkpoint (the initial store, then one every CHECKPOINT_EVERY
+    steps) and the log so far.
+    ``meta`` gains the buffer pool's takes and fresh allocations of the call.
+    """
+    log: list = []
+    checkpoint = store.clone()
+    pool_start = POOL.counts()
+    t_start = time.perf_counter()
+    for step in range(steps):
+        store.zero_grad()
+        try:
+            loss, terms = batch_losses()
+            if not np.isfinite(loss.data):
+                raise TrainingDivergedError(f"non-finite loss at step {step + 1}")
+            backward(loss)
+            adam_step(store, store.gradients(), lr=lr)
+        except TrainingDivergedError as err:
+            err.checkpoint = checkpoint
+            err.log = log
+            raise
+        if (step + 1) % log_every == 0 or step == 0:
+            log.append({"step": step + 1, "loss": float(loss.data),
+                        **{name: float(t.data) for name, t in terms.items()},
+                        "wall_time_s": time.perf_counter() - t_start})
+        if (step + 1) % CHECKPOINT_EVERY == 0:
+            checkpoint = store.clone()
+    meta["buffer_pool"] = {k: n - pool_start[k] for k, n in POOL.counts().items()}
+    return TrainResult(store=store, log=log, meta=meta)
 
 
 def count_parameters(weights) -> int:

@@ -34,7 +34,6 @@ from statforge.diagnostics import (
 )
 from statforge.enca import decode_forward, init_enca
 from statforge.encoder import (
-    count_parameters,
     encode_batch,
     encoder_subset,
     init_encoder,
@@ -44,6 +43,7 @@ from statforge.inca import WNET_LAYERS, aggregate, inca_loss, init_inca, predict
 from statforge.mcmc import McmcConfig, metropolis_run
 from statforge.models import (
     DEFAULT_DYNAMO_MAP,
+    DYNAMO,
     DYNAMO_PRIOR,
     NLAR1_PRIOR,
     TRUE_THETA,
@@ -55,7 +55,7 @@ from statforge.models import (
     simulate_batch,
     simulate_nlar1,
     stream,
-    transition_density_dynamo,
+    transition_density,
 )
 from statforge.suffstats import stats_batch, suff_stats
 from statforge.models import log_likelihood
@@ -160,10 +160,10 @@ def test_criterion_02_shape_fidelity():
 def test_criterion_03_length_invariance():
     store = init_encoder(3, np.random.default_rng(0))
     weights = store.arrays()
-    n100 = count_parameters(weights)
+    n100 = T.count_parameters(weights)
     encode_batch(np.zeros((2, 100)), weights)
     encode_batch(np.zeros((2, 200)), weights)  # same weights serve both lengths
-    n200 = count_parameters(weights)
+    n200 = T.count_parameters(weights)
     ok = n100 == n200 == 5811
     record(3, ok, f"trainable count {n100} identical for N=100 and N=200 inputs")
 
@@ -209,14 +209,14 @@ def test_criterion_05_trapezoid_density():
         c = float(DEFAULT_DYNAMO_MAP(x))
         lo, hi = alpha * c, alpha * c + delta * c + eps
         pts = sorted({lo, lo + min(delta * c, eps), hi - min(delta * c, eps), hi})
-        val, _ = quad(lambda y: transition_density_dynamo(y, x, theta),
+        val, _ = quad(lambda y: transition_density(DYNAMO, y, x, theta),
                       lo, hi, points=pts, limit=200)
         worst_int = max(worst_int, abs(val - 1.0))
         n = 10**6
         samp = (alpha + delta * rng.random(n)) * c + eps * rng.random(n)
         edges = np.linspace(lo, hi, 41)
         counts, _ = np.histogram(samp, bins=edges)
-        probs = np.array([quad(lambda y: transition_density_dynamo(y, x, theta),
+        probs = np.array([quad(lambda y: transition_density(DYNAMO, y, x, theta),
                                edges[i], edges[i + 1], points=pts)[0]
                           for i in range(40)])
         se = np.sqrt(probs * (1 - probs) / n)

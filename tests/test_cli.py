@@ -320,6 +320,33 @@ class TestConfiguredDynamoMap:
         assert "Traceback" not in err
 
 
+class TestConfigFile:
+    """INI values reach the run as the flags do; without --config, each read
+    site's default runs."""
+
+    def _abc(self, out, obs_dir, *extra):
+        assert run(["abc", "--model", "nlar1", "--stats", "suffstats",
+                    "--observation", obs_dir / "trajectory.csv", "--seed", "5",
+                    "--out", out, *extra]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        return manifest["config"]["abc"]["config"], (out / "samples.csv").read_text()
+
+    def test_abc_population_from_the_file(self, tmp_path, obs_dir):
+        ini = tmp_path / "abc.ini"
+        ini.write_text("[abc]\npopulation = 30\nbudget = 300\n")
+        from_file, samples_file = self._abc(tmp_path / "ini", obs_dir, "--config", ini)
+        from_flags, samples_flags = self._abc(tmp_path / "flags", obs_dir,
+                                              "--population", "30", "--budget", "300")
+        assert from_file["population"] == 30 and from_file["budget"] == 300
+        assert from_file == from_flags
+        assert samples_file == samples_flags
+        # the defaults of the keys neither the file nor the flags set
+        assert from_flags["velocity"] == 0.3 and from_flags["proposal_scale"] == 0.5
+
+    def test_no_file_reads_no_section(self):
+        assert load_config() == {}
+
+
 class TestBlasThreads:
     """--threads and the training commands cap numpy's OpenBLAS for the run,
     restore it afterwards, and record what was in effect."""

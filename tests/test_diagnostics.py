@@ -12,14 +12,11 @@ from statforge.diagnostics import (
     latent_scatter,
     latent_scatter_csv,
     marginal_wasserstein,
-    overlay_csv,
     pearson,
-    reconstruction_overlay,
     regression_scatter,
     regression_scatter_csv,
     wasserstein_1d,
 )
-from statforge.enca import init_enca
 from statforge.encoder import init_encoder
 from statforge.models import NLAR1_PRIOR
 from statforge.samples import SampleSet, sample_set_from_csv, sample_set_to_csv
@@ -216,23 +213,6 @@ class TestScatterTables:
         weights = init_encoder(3, np.random.default_rng(1)).arrays()
         with pytest.raises(ValueError):
             latent_scatter(weights, "dynamo", m=10)
-
-
-class TestReconstructionOverlay:
-    def test_columns_aligned_and_deterministic(self):
-        wa = init_enca("nlar1", 3, np.random.default_rng(0)).arrays()
-        wb = init_enca("nlar1", 2, np.random.default_rng(1)).arrays()
-        cols = reconstruction_overlay(wa, wb, "nlar1", (5.3, 0.015), seed=5,
-                                      n_steps=60)
-        assert set(cols) == {"step", "x", "x_hat_a", "x_hat_b"}
-        assert all(len(v) == 60 for v in cols.values())
-        # x column equals the simulator output for the same seed
-        from statforge.models import draw_bare_noise, simulate
-        traj = simulate("nlar1", (5.3, 0.015), draw_bare_noise("nlar1", 60, 5),
-                        x0=0.25)
-        assert np.array_equal(cols["x"], traj.x)
-        text = overlay_csv(cols)
-        assert text.split("\n", 1)[0] == "step,x,x_hat_a,x_hat_b"
 
 
 class TestSampleSetCsv:

@@ -3,7 +3,6 @@ import pytest
 
 import statforge.tensor as T
 from statforge.encoder import (
-    count_parameters,
     encode,
     encode_batch,
     encode_forward,
@@ -100,18 +99,18 @@ class TestParameterCount:
         return total
 
     def test_closed_form_q3(self, weights):
-        assert count_parameters(weights) == self.closed_form(3) == 5811
+        assert T.count_parameters(weights) == self.closed_form(3) == 5811
 
     def test_count_independent_of_input_length(self, weights):
-        n_params = count_parameters(weights)
+        n_params = T.count_parameters(weights)
         for n in (100, 200):
             encode_batch(np.zeros((1, n)), weights)  # same weights serve any N
-        assert count_parameters(weights) == n_params
+        assert T.count_parameters(weights) == n_params
 
     def test_q_increment(self):
         rng = np.random.default_rng(0)
-        c3 = count_parameters(init_encoder(3, rng).arrays())
-        c4 = count_parameters(init_encoder(4, np.random.default_rng(0)).arrays())
+        c3 = T.count_parameters(init_encoder(3, rng).arrays())
+        c4 = T.count_parameters(init_encoder(4, np.random.default_rng(0)).arrays())
         assert c4 - c3 == 3 * 32 + 1  # one conv3 filter slice plus one bias
 
 

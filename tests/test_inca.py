@@ -158,15 +158,6 @@ class TestIncaLoss:
             got = inca_loss(stats, theta_hat, theta)
             assert abs(got - expected) / expected < 1e-12
 
-    def test_normalization_toggle(self):
-        theta = np.array([1.0, 1.0])
-        stats = np.full((4, 3), 2.0)
-        est = aggregate(stats, np.full(4, 0.5), p=2)
-        plain = inca_loss(stats, est, theta)
-        normed = inca_loss(stats, est, theta, normalize=True)
-        assert plain == pytest.approx(4 * 2 * 1.0 + 2 * 1.0)
-        assert normed == pytest.approx(1.0 + 1.0)
-
     def test_permutation_invariance_bit_exact(self):
         rng = np.random.default_rng(2)
         stats = rng.random((6, 4))

@@ -45,8 +45,6 @@ from statforge.models import (
     trajectory_from_csv,
     trajectory_to_csv,
     transition_density,
-    transition_density_dynamo,
-    transition_density_nlar1,
 )
 
 
@@ -214,12 +212,12 @@ class TestTransitionDensityNlar1:
         theta = (5.3, 0.015)
         x = 0.4
         mode = 5.3 * f_nlar1(x)
-        assert transition_density_nlar1(mode, x, theta) == pytest.approx(
+        assert transition_density(NLAR1, mode, x, theta) == pytest.approx(
             1.0 / (0.015 * np.sqrt(2 * np.pi)), rel=1e-14)
 
     def test_normalization(self):
         theta = (5.0, 0.02)
-        val, _ = quad(lambda y: transition_density_nlar1(y, 0.3, theta),
+        val, _ = quad(lambda y: transition_density(NLAR1, y, 0.3, theta),
                       -np.inf, np.inf)
         assert abs(val - 1.0) < 1e-8
 
@@ -234,13 +232,13 @@ class TestTransitionDensityNlar1:
         counts, _ = np.histogram(samples, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         width = edges[1] - edges[0]
-        probs = transition_density_nlar1(centers, x, theta) * width
+        probs = transition_density(NLAR1, centers, x, theta) * width
         se = np.sqrt(np.maximum(probs * (1 - probs), 1e-12) / n)
         assert np.all(np.abs(counts / n - probs) <= 3 * se + 2e-4 * width)
 
     def test_sigma_zero_rejected(self):
         with pytest.raises(InvalidParameterError):
-            transition_density_nlar1(0.1, 0.3, (5.0, 0.0))
+            transition_density(NLAR1, 0.1, 0.3, (5.0, 0.0))
 
 
 class TestTransitionDensityDynamo:
@@ -249,24 +247,24 @@ class TestTransitionDensityDynamo:
         c = float(DEFAULT_DYNAMO_MAP(1.0))
         lo = 1.11 * c
         hi = lo + 0.15 * c + 0.08
-        assert transition_density_dynamo(lo - 1e-9, 1.0, theta) == 0.0
-        assert transition_density_dynamo(hi + 1e-9, 1.0, theta) == 0.0
+        assert transition_density(DYNAMO, lo - 1e-9, 1.0, theta) == 0.0
+        assert transition_density(DYNAMO, hi + 1e-9, 1.0, theta) == 0.0
 
     def test_delta_zero_single_uniform(self):
         theta = (1.11, 0.0, 0.08)
         c = float(DEFAULT_DYNAMO_MAP(1.0))
-        inside = transition_density_dynamo(1.11 * c + 0.04, 1.0, theta)
+        inside = transition_density(DYNAMO, 1.11 * c + 0.04, 1.0, theta)
         assert inside == pytest.approx(1.0 / 0.08, rel=1e-12)
-        assert transition_density_dynamo(1.11 * c - 1e-9, 1.0, theta) == 0.0
+        assert transition_density(DYNAMO, 1.11 * c - 1e-9, 1.0, theta) == 0.0
 
     def test_zero_c_reduces_to_additive_uniform(self):
         theta = (1.11, 0.15, 0.08)
-        assert transition_density_dynamo(0.04, 0.0, theta) == pytest.approx(1 / 0.08)
-        assert transition_density_dynamo(0.09, 0.0, theta) == 0.0
+        assert transition_density(DYNAMO, 0.04, 0.0, theta) == pytest.approx(1 / 0.08)
+        assert transition_density(DYNAMO, 0.09, 0.0, theta) == 0.0
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateLikelihoodError):
-            transition_density_dynamo(0.5, 0.0, (1.11, 0.15, 0.0))
+            transition_density(DYNAMO, 0.5, 0.0, (1.11, 0.15, 0.0))
 
     @pytest.mark.parametrize("case", range(10))
     def test_quadrature_and_monte_carlo(self, case):
@@ -277,7 +275,7 @@ class TestTransitionDensityDynamo:
         c = float(DEFAULT_DYNAMO_MAP(x))
         lo, hi = alpha * c, alpha * c + delta * c + eps
         pts = sorted({lo, lo + min(delta * c, eps), hi - min(delta * c, eps), hi})
-        val, _ = quad(lambda y: transition_density_dynamo(y, x, theta),
+        val, _ = quad(lambda y: transition_density(DYNAMO, y, x, theta),
                       lo, hi, points=pts, limit=200)
         assert abs(val - 1.0) < 1e-6
         # Monte-Carlo histogram oracle
@@ -287,7 +285,7 @@ class TestTransitionDensityDynamo:
         samples = a * c + e
         edges = np.linspace(lo, hi, 41)
         counts, _ = np.histogram(samples, bins=edges)
-        probs = np.array([quad(lambda y: transition_density_dynamo(y, x, theta),
+        probs = np.array([quad(lambda y: transition_density(DYNAMO, y, x, theta),
                                edges[i], edges[i + 1], points=pts)[0]
                           for i in range(40)])
         se = np.sqrt(probs * (1 - probs) / n)
@@ -298,7 +296,7 @@ class TestLogLikelihood:
     def test_single_step(self):
         traj = Trajectory(x=np.array([0.3]), x0=0.25)
         theta = (5.3, 0.015)
-        direct = np.log(transition_density_nlar1(0.3, 0.25, theta))
+        direct = np.log(transition_density(NLAR1, 0.3, 0.25, theta))
         assert log_likelihood(traj, theta, "nlar1") == pytest.approx(direct, rel=1e-14)
 
     def test_grid_argmax_matches_least_squares(self):
@@ -323,7 +321,7 @@ class TestLogLikelihood:
         # transition densities underflow to 0, their logs stay finite
         traj = simulate_nlar1((5.3, 0.025), draw_bare_noise("nlar1", 200, 0))
         alpha, sigma = 4.2, 0.005
-        assert (transition_density_nlar1(traj.x, traj.lagged(), (alpha, sigma)) == 0.0).any()
+        assert (transition_density(NLAR1, traj.x, traj.lagged(), (alpha, sigma)) == 0.0).any()
         z = (traj.x - alpha * f_nlar1(traj.lagged())) / sigma
         want = -0.5 * np.sum(z * z) - traj.n_steps * np.log(sigma * np.sqrt(2 * np.pi))
         got = log_likelihood(traj, (alpha, sigma), "nlar1")

@@ -1015,6 +1015,65 @@ class TestAdam:
             T.adam_step(store, {"w": np.array([np.nan])})
 
 
+class TestTrainDriver:
+    @staticmethod
+    def _nan_at_step(store, bad_step):
+        """batch_losses for sum(w^2) whose loss is NaN on call ``bad_step``."""
+        calls = []
+
+        def batch_losses():
+            calls.append(None)
+            w = store["w"]
+            loss = T.tsum(T.mul(w, w))
+            if len(calls) == bad_step:
+                loss = T.mul(loss, np.nan)
+            return loss, {"square": loss}
+
+        return batch_losses
+
+    def test_nonfinite_loss_raises_with_checkpoint_and_log(self):
+        store = T.ParameterStore()
+        store.add("w", np.array([0.5, -1.0]))
+        initial = store["w"].data.copy()
+        with pytest.raises(TrainingDivergedError, match="step 3") as info:
+            T.train(store, self._nan_at_step(store, 3), steps=5, lr=0.1,
+                    log_every=1, meta={})
+        err = info.value
+        assert np.array_equal(err.checkpoint["w"].data, initial)
+        assert err.checkpoint.step_count == 0
+        assert [row["step"] for row in err.log] == [1, 2]
+        assert list(err.log[0]) == ["step", "loss", "square", "wall_time_s"]
+        assert not np.array_equal(store["w"].data, initial)   # two Adam steps ran
+
+    def test_checkpoint_cadence(self, monkeypatch):
+        monkeypatch.setattr(T, "CHECKPOINT_EVERY", 2)
+        store = T.ParameterStore()
+        store.add("w", np.array([0.5, -1.0]))
+        T.train(store, self._nan_at_step(store, None), steps=2, lr=0.1,
+                log_every=1, meta={})
+        after_two = store["w"].data.copy()
+        store = T.ParameterStore()
+        store.add("w", np.array([0.5, -1.0]))
+        with pytest.raises(TrainingDivergedError) as info:
+            T.train(store, self._nan_at_step(store, 4), steps=5, lr=0.1,
+                    log_every=1, meta={})
+        assert np.array_equal(info.value.checkpoint["w"].data, after_two)
+        assert info.value.checkpoint.step_count == 2
+
+    def test_log_rows_and_meta(self):
+        enca = train_enca("nlar1", EncaConfig(q=2, minibatch=4, steps=3, seed=1,
+                                              n_steps=30, c_x=0.05, log_every=2))
+        assert [row["step"] for row in enca.log] == [1, 2]
+        assert list(enca.log[0]) == ["step", "loss", "regression", "reconstruction",
+                                     "wall_time_s"]
+        inca = train_inca("nlar1", IncaConfig(q=3, n_replicas=2, theta_batch=3,
+                                              steps=1, seed=1, n_steps=30))
+        assert list(inca.log[0]) == ["step", "loss", "replica_term", "aggregate_term",
+                                     "wall_time_s"]
+        for result in (enca, inca):
+            assert list(result.meta)[-1] == "buffer_pool"
+
+
 class TestWeightsContainer:
     def test_roundtrip(self, tmp_path, rng):
         store = T.ParameterStore()
