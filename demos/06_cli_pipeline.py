@@ -2,7 +2,10 @@
 
 Every subcommand writes its outputs plus a manifest.json capturing all
 result-affecting constants, so each run can be reproduced from its manifest
-alone.  The same flow is available as a single command:
+alone.  Run settings come from the run's dataclass defaults, then from an
+INI file given with --config, then from the flags that were given; the abc
+step below takes its budget from a file and overrides the file's population
+with a flag.  The same flow is available as a single command:
 
     statforge smoke --out OUT --seed 3
 
@@ -33,8 +36,11 @@ run("train-enca", "--model", "nlar1", "--q", "3", "--steps", "150",
     "--minibatch", "32", "--n-steps", "60", "--seed", "1", "--out", root / "train")
 run("encode", "--weights", root / "train" / "weights.sfwt",
     "--input", root / "obs" / "trajectory.csv", "--out", root / "enc")
+abc_ini = root / "abc.ini"
+abc_ini.write_text("[abc]\npopulation = 50\nbudget = 2000\n")
+print(f"# {abc_ini.name}: " + abc_ini.read_text().replace("\n", " "))
 run("abc", "--model", "nlar1", "--observation", root / "obs" / "trajectory.csv",
-    "--weights", root / "train" / "weights.sfwt", "--budget", "2000",
+    "--weights", root / "train" / "weights.sfwt", "--config", abc_ini,
     "--population", "100", "--seed", "5", "--out", root / "abc")
 run("mcmc", "--model", "nlar1", "--observation", root / "obs" / "trajectory.csv",
     "--chain-length", "8000", "--seed", "5", "--out", root / "mcmc")
@@ -49,7 +55,7 @@ for path in sorted(root.rglob("*")):
 
 manifest = json.loads((root / "abc" / "manifest.json").read_text())
 print("\nabc manifest keys:", sorted(manifest))
-print("annealing config recorded in manifest:",
-      manifest["config"]["abc"]["config"])
+print("merged annealing config recorded in manifest (budget from the file, "
+      "population from the flag):", manifest["config"]["abc"]["config"])
 print("\nwasserstein table:")
 print((root / "diag" / "wasserstein.csv").read_text())

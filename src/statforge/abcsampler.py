@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DegenerateStatisticError
 from .mcmc import metropolis_accept
 from .models import (
+    DEFAULT_N_STEPS,
     ModelSpec,
     PriorSpec,
     Trajectory,
@@ -70,7 +71,7 @@ class AbcConfig:
     velocity: float = 0.3
     proposal_scale: float = 0.5    # random-walk scale as a fraction of population std
     seed: int = 0
-    n_steps: int = 200
+    n_steps: int = DEFAULT_N_STEPS
 
     def __post_init__(self):
         if self.population < 10:
@@ -142,7 +143,7 @@ def stats_fn_subset(fn, indices):
 
 
 def fit_standardizer(model, stats_fn, m: int = 2000, seed: int = 0,
-                     n_steps: int = 200) -> Standardizer:
+                     n_steps: int = DEFAULT_N_STEPS) -> Standardizer:
     """Prior-predictive standardizer from m >= 1000 fresh simulations."""
     if m < 1000:
         raise ValueError("standardizer needs m >= 1000 prior-predictive simulations")
@@ -277,7 +278,7 @@ def sabc_run(model, prior: PriorSpec | None, stats_fn,
 def rejection_abc(model, prior: PriorSpec | None, stats_fn,
                   observation: Trajectory, n_sims: int, keep_fraction: float,
                   std: Standardizer | None = None, seed: int = 0,
-                  n_steps: int = 200, chunk: int = 10_000):
+                  n_steps: int = DEFAULT_N_STEPS, chunk: int = 10_000):
     """Keep the smallest-distance fraction of prior-predictive simulations.
 
     ``model`` is a ModelSpec or a model id; a ``prior`` replaces its prior.

@@ -1,15 +1,16 @@
 """Single entry point wiring the library into reproducible experiment runs.
 
 Every subcommand writes its outputs plus exactly one manifest.json into the
-directory given by --out and nowhere else.  Exit codes: 0 success, 2 usage
-errors (unknown flags, malformed config, missing weight files), 1 runtime
+directory given by --out and nowhere else.  Run settings are merged once,
+by ``config.run_config``: dataclass defaults, then the --config file, then
+the flags given.  Exit codes: 0 success, 2 usage errors (unknown flags, a
+malformed config, an out-of-range setting, missing input files), 1 runtime
 failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import ctypes
 import json
 import os
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__, config as cfgmod
 from . import abcsampler, diagnostics, enca as enca_mod, inca as inca_mod, mcmc as mcmc_mod
 from .encoder import MIN_INPUT_LENGTH, encode, encoder_subset, infer_q
-from .errors import StatforgeError
+from .errors import StatforgeError, UsageError
 from .models import (
     MODEL_IDS,
     Trajectory,
@@ -37,13 +38,9 @@ from .models import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from .samples import sample_set_from_csv, sample_set_to_csv
+from .samples import csv_text, sample_set_from_csv, sample_set_to_csv
 from .suffstats import stats_batch, stats_to_csv
 from .tensor import load_weights, save_weights
-
-
-class UsageError(Exception):
-    """Invalid invocation detected after argparse (exit code 2)."""
 
 
 def _global_seed(args) -> int:
@@ -59,13 +56,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_cfg(args) -> dict:
-    try:
-        return cfgmod.load_config(getattr(args, "config", None))
-    except (configparser.Error, OSError, ValueError) as err:
-        raise UsageError(f"--config: {err}") from err
-
-
 def _parse_theta(text: str) -> np.ndarray:
     try:
         return np.array([float(v) for v in text.split(",")])
@@ -73,22 +63,28 @@ def _parse_theta(text: str) -> np.ndarray:
         raise UsageError(f"--theta: expected comma-separated floats, got {text!r}") from err
 
 
-def _encoder_n_steps(n_steps: int) -> int:
-    """Trajectory length for a run that encodes trajectories; shorter than
-    the encoder's minimum input length is a UsageError."""
+def _encoder_n_steps(cfg: dict, args) -> int:
+    """[model] n_steps of a run that encodes trajectories; shorter than the
+    encoder's minimum input length is a UsageError."""
+    n_steps = cfgmod.n_steps_setting(cfg, args.n_steps)
     if n_steps < MIN_INPUT_LENGTH:
         raise UsageError(f"n_steps = {n_steps} is too short for the encoder; "
                          f"at least {MIN_INPUT_LENGTH} are needed")
     return n_steps
 
 
+def _existing(path, flag: str) -> Path:
+    """The file named by ``flag``; a missing one is a UsageError."""
+    if not Path(path).is_file():
+        raise UsageError(f"{flag}: file not found: {path}")
+    return Path(path)
+
+
 def _read_trajectory(path, flag: str, min_steps: int = 1) -> Trajectory:
     """Trajectory CSV named by ``flag``; a missing or malformed file, or one with
     fewer than ``min_steps`` steps after x0, is a UsageError."""
-    if not Path(path).exists():
-        raise UsageError(f"{flag}: file not found: {path}")
     try:
-        traj = trajectory_from_csv(Path(path).read_text())
+        traj = trajectory_from_csv(_existing(path, flag).read_text())
     except ValueError as err:
         raise UsageError(f"{flag}: {path}: {err}") from err
     if traj.n_steps < min_steps:
@@ -97,12 +93,20 @@ def _read_trajectory(path, flag: str, min_steps: int = 1) -> Trajectory:
     return traj
 
 
-def _require_weights(path):
+def _read_samples(path, flag: str):
+    """Sample CSV named by ``flag``; a missing or malformed file is a UsageError."""
+    try:
+        return sample_set_from_csv(_existing(path, flag).read_text())
+    except (ValueError, IndexError) as err:
+        raise UsageError(f"{flag}: {path}: not a sample CSV ({err})") from err
+
+
+def _encoder_weights(path) -> dict:
+    """The encoder part of the --weights container; a missing flag or file
+    is a UsageError."""
     if path is None:
         raise UsageError("--weights is required for this subcommand")
-    if not Path(path).exists():
-        raise UsageError(f"--weights: file not found: {path}")
-    return load_weights(path)
+    return encoder_subset(load_weights(_existing(path, "--weights"))[0])
 
 
 def _openblas():
@@ -152,12 +156,12 @@ def _limit_threads(n: int | None):
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
-    cfg = _load_cfg(args)
+    cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
     seed = _global_seed(args)
     spec = cfgmod.model_spec_from_config(cfg, args.model)
     theta = _parse_theta(args.theta) if args.theta else spec.true_theta
-    n_steps = args.n_steps or cfgmod.config_get(cfg, "model", "n_steps", int, 200)
+    n_steps = cfgmod.n_steps_setting(cfg, args.n_steps)
     x0 = args.x0 if args.x0 is not None else spec.prior.x0
     if args.format == "csv":
         noise = draw_bare_noise(spec, n_steps, seed)
@@ -179,7 +183,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_bifurcation(args) -> int:
     started = time.perf_counter()
-    cfg = _load_cfg(args)
+    cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
     spec = cfgmod.model_spec_from_config(cfg, args.model)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.points)
@@ -222,78 +226,40 @@ def cmd_suffstats(args) -> int:
     return 0
 
 
-def cmd_train_enca(args) -> int:
+def cmd_train(args) -> int:
+    """train-enca / train-inca with the [enca] or [inca] settings, on one BLAS
+    thread so that a fixed seed gives bit-identical weights."""
     started = time.perf_counter()
-    cfg = _load_cfg(args)
+    cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
-    seed = _global_seed(args)
     spec = cfgmod.model_spec_from_config(cfg, args.model)
-    train_cfg = enca_mod.EncaConfig(
-        q=args.q or cfgmod.config_get(cfg, "enca", "q", int, 3),
-        minibatch=args.minibatch,
-        steps=args.steps if args.steps is not None
-        else cfgmod.config_get(cfg, "enca", "steps", int, 1000),
-        lr=args.lr or cfgmod.config_get(cfg, "enca", "lr", float, 1e-3),
-        seed=seed,
-        n_steps=_encoder_n_steps(
-            args.n_steps or cfgmod.config_get(cfg, "model", "n_steps", int, 200)),
-        c_x=args.c_x,
-        log_every=cfgmod.config_get(cfg, "enca", "log_every", int, 100),
-    )
-    with _limit_threads(1) as blas_threads:  # optimizer path is single-threaded
-        result = enca_mod.train_enca(spec, train_cfg)
-    _write_training_outputs(out, result, args, started, command="train-enca",
-                            blas_threads=blas_threads)
-    return 0
-
-
-def cmd_train_inca(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_cfg(args)
-    out = _out_dir(args)
-    seed = _global_seed(args)
-    spec = cfgmod.model_spec_from_config(cfg, args.model)
-    train_cfg = inca_mod.IncaConfig(
-        q=args.q or cfgmod.config_get(cfg, "inca", "q", int, 3),
-        n_replicas=args.n_replicas or cfgmod.config_get(cfg, "inca", "n_replicas", int, 5),
-        theta_batch=args.theta_batch or cfgmod.config_get(cfg, "inca", "theta_batch", int, 60),
-        steps=args.steps if args.steps is not None
-        else cfgmod.config_get(cfg, "inca", "steps", int, 1000),
-        lr=args.lr or cfgmod.config_get(cfg, "inca", "lr", float, 1e-3),
-        seed=seed,
-        n_steps=_encoder_n_steps(
-            args.n_steps or cfgmod.config_get(cfg, "model", "n_steps", int, 200)),
-        log_every=cfgmod.config_get(cfg, "inca", "log_every", int, 100),
-    )
+    section = args.command.removeprefix("train-")
+    cls, train = ((enca_mod.EncaConfig, enca_mod.train_enca) if section == "enca"
+                  else (inca_mod.IncaConfig, inca_mod.train_inca))
+    train_cfg = cfgmod.run_config(
+        cls, cfg, section, args, seed=_global_seed(args),
+        n_steps=_encoder_n_steps(cfg, args))
     with _limit_threads(1) as blas_threads:
-        result = inca_mod.train_inca(spec, train_cfg)
-    _write_training_outputs(out, result, args, started, command="train-inca",
-                            blas_threads=blas_threads)
-    return 0
-
-
-def _write_training_outputs(out: Path, result, args, started, command: str,
-                            blas_threads: dict):
-    cfg_snapshot = dict(result.meta)
+        result = train(spec, train_cfg)
     weights_path = out / "weights.sfwt"
-    save_weights(weights_path, result.store, meta=cfg_snapshot)
+    save_weights(weights_path, result.store, meta=result.meta)
     with open(out / "train_log.jsonl", "w") as fh:
         for row in result.log:
             fh.write(json.dumps(row) + "\n")
     cfgmod.write_manifest(
-        out, command=command, config=cfg_snapshot,
-        seeds={"seed": result.meta["config"]["seed"]},
+        out, command=args.command, config=result.meta,
+        seeds={"seed": train_cfg.seed},
         extra={"weights_sha256": cfgmod.sha256_of_file(weights_path),
                "final_loss": result.log[-1]["loss"] if result.log else None,
                "blas_threads": blas_threads},
         started=started)
+    return 0
 
 
 def cmd_encode(args) -> int:
     started = time.perf_counter()
     out = _out_dir(args)
-    arrays, header = _require_weights(args.weights)
-    weights = encoder_subset(arrays)
+    weights = _encoder_weights(args.weights)
     rows = []
     hashes = {str(args.weights): cfgmod.sha256_of_file(args.weights)}
     for path in args.input:
@@ -301,10 +267,7 @@ def cmd_encode(args) -> int:
         rows.append(encode(traj, weights))
         hashes[str(path)] = cfgmod.sha256_of_file(path)
     q = infer_q(weights)
-    lines = [",".join(f"s{i + 1}" for i in range(q))]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row))
-    (out / "stats.csv").write_text("\n".join(lines) + "\n")
+    (out / "stats.csv").write_text(csv_text([f"s{i + 1}" for i in range(q)], rows))
     cfgmod.write_manifest(out, command="encode", config={"q": q},
                           seeds={}, input_hashes=hashes, started=started)
     return 0
@@ -312,7 +275,7 @@ def cmd_encode(args) -> int:
 
 def cmd_abc(args) -> int:
     started = time.perf_counter()
-    cfg = _load_cfg(args)
+    cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
     seed = _global_seed(args)
     spec = cfgmod.model_spec_from_config(cfg, args.model)
@@ -326,20 +289,13 @@ def cmd_abc(args) -> int:
         stats_fn = abcsampler.stats_fn_suffstats()
         stats_src = "suffstats"
     else:
-        arrays, _ = _require_weights(args.weights)
-        stats_fn = abcsampler.stats_fn_from_weights(encoder_subset(arrays))
+        stats_fn = abcsampler.stats_fn_from_weights(_encoder_weights(args.weights))
         stats_src = str(args.weights)
         input_hashes[str(args.weights)] = cfgmod.sha256_of_file(args.weights)
     if args.q is not None:
         stats_fn = abcsampler.stats_fn_subset(stats_fn, list(range(args.q)))
-    run_cfg = abcsampler.AbcConfig(
-        population=args.population or cfgmod.config_get(cfg, "abc", "population", int, 1000),
-        budget=args.budget or cfgmod.config_get(cfg, "abc", "budget", int, 100_000),
-        velocity=args.velocity or cfgmod.config_get(cfg, "abc", "velocity", float, 0.3),
-        proposal_scale=cfgmod.config_get(cfg, "abc", "proposal_scale", float, 0.5),
-        seed=seed,
-        n_steps=observation.n_steps,
-    )
+    run_cfg = cfgmod.run_config(abcsampler.AbcConfig, cfg, "abc", args,
+                                seed=seed, n_steps=observation.n_steps)
     with _limit_threads(args.threads) as blas_threads:
         if args.sampler == "sabc":
             sample, record = abcsampler.sabc_run(spec, None, stats_fn,
@@ -367,20 +323,12 @@ def cmd_abc(args) -> int:
 
 def cmd_mcmc(args) -> int:
     started = time.perf_counter()
-    cfg = _load_cfg(args)
+    cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
     seed = _global_seed(args)
     spec = cfgmod.model_spec_from_config(cfg, args.model)
     observation = _read_trajectory(args.observation, "--observation")
-    try:
-        run_cfg = mcmc_mod.McmcConfig(
-            chain_length=args.chain_length or cfgmod.config_get(cfg, "mcmc", "chain_length", int, 200_000),
-            burn_in_frac=cfgmod.config_get(cfg, "mcmc", "burn_in_frac", float, 0.25),
-            thin=cfgmod.config_get(cfg, "mcmc", "thin", int, 10),
-            seed=seed,
-        )
-    except ValueError as err:
-        raise UsageError(f"[mcmc]: {err}") from err
+    run_cfg = cfgmod.run_config(mcmc_mod.McmcConfig, cfg, "mcmc", args, seed=seed)
     sample, rate = mcmc_mod.metropolis_run(spec, None, observation, run_cfg)
     (out / "samples.csv").write_text(sample_set_to_csv(sample))
     cfgmod.write_manifest(
@@ -395,31 +343,31 @@ def cmd_mcmc(args) -> int:
 
 def cmd_diagnose(args) -> int:
     started = time.perf_counter()
-    spec = cfgmod.model_spec_from_config(_load_cfg(args), args.model or "nlar1")
+    if (args.posterior is None) != (args.reference is None):
+        raise UsageError("diagnose: --posterior and --reference go together; "
+                         "pass both or neither")
+    cfg = cfgmod.load_config(args.config)
+    spec = cfgmod.model_spec_from_config(cfg, args.model or "nlar1")
     out = _out_dir(args)
-    did_anything = False
     extra = {}
     input_hashes = {}
-    if args.posterior and args.reference:
-        a = sample_set_from_csv(Path(args.posterior).read_text())
-        b = sample_set_from_csv(Path(args.reference).read_text())
-        prior = spec.prior if args.model else None
-        if prior is not None:
-            raw, normed = diagnostics.marginal_wasserstein(a, b, prior)
+    if args.posterior is not None:
+        a = _read_samples(args.posterior, "--posterior")
+        b = _read_samples(args.reference, "--reference")
+        if a.p != b.p:
+            raise UsageError(f"--posterior has {a.p} parameters, --reference {b.p}")
+        if args.model:
+            raw, normed = diagnostics.marginal_wasserstein(a, b, spec.prior)
         else:
-            raw = diagnostics.marginal_wasserstein(a, b)
-            normed = None
-        lines = ["component,w1,w1_normalized"]
-        for j in range(len(raw)):
-            nval = "" if normed is None else repr(float(normed[j]))
-            lines.append(f"{j + 1},{float(raw[j])!r},{nval}")
-        (out / "wasserstein.csv").write_text("\n".join(lines) + "\n")
+            raw, normed = diagnostics.marginal_wasserstein(a, b), None
+        (out / "wasserstein.csv").write_text(csv_text(
+            ["component", "w1", "w1_normalized"],
+            ([j + 1, raw[j], "" if normed is None else normed[j]] for j in range(len(raw)))))
         extra["wasserstein_total"] = float(np.sum(raw))
         input_hashes[args.posterior] = cfgmod.sha256_of_file(args.posterior)
         input_hashes[args.reference] = cfgmod.sha256_of_file(args.reference)
-        did_anything = True
     if args.distances:
-        ss = sample_set_from_csv(Path(args.distances).read_text())
+        ss = _read_samples(args.distances, "--distances")
         if ss.component_distances is None:
             raise UsageError("--distances: file has no dist_* columns")
         record = abcsampler.DistanceRecord(
@@ -429,17 +377,14 @@ def cmd_diagnose(args) -> int:
             acceptance_trace=[], tolerance_trace=[])
         quant = diagnostics.distance_quantiles(record, args.quantile,
                                                n_regressors=args.regressors)
-        lines = ["component,quantile"] + [
-            f"{j + 1},{float(v)!r}" for j, v in enumerate(quant)]
-        (out / "quantiles.csv").write_text("\n".join(lines) + "\n")
+        (out / "quantiles.csv").write_text(
+            csv_text(["component", "quantile"], enumerate(quant, start=1)))
         tables = diagnostics.distance_histograms(record, bins=args.bins)
         (out / "histograms.csv").write_text(diagnostics.histograms_to_csv(tables))
         input_hashes[args.distances] = cfgmod.sha256_of_file(args.distances)
-        did_anything = True
     if args.weights and args.scatter:
-        n_steps = _encoder_n_steps(args.n_steps or 200)
-        arrays, _ = _require_weights(args.weights)
-        weights = encoder_subset(arrays)
+        n_steps = _encoder_n_steps(cfg, args)
+        weights = _encoder_weights(args.weights)
         seed = _global_seed(args)
         table = diagnostics.regression_scatter(weights, spec, m=args.scatter,
                                                seed=seed, n_steps=n_steps)
@@ -450,8 +395,7 @@ def cmd_diagnose(args) -> int:
                                                 seed=seed, n_steps=n_steps)
             (out / "latent.csv").write_text(diagnostics.latent_scatter_csv(latent))
         input_hashes[args.weights] = cfgmod.sha256_of_file(args.weights)
-        did_anything = True
-    if not did_anything:
+    if not input_hashes:
         raise UsageError("diagnose: nothing to do; pass --posterior/--reference, "
                          "--distances, or --weights with --scatter")
     cfgmod.write_manifest(out, command="diagnose",
@@ -469,30 +413,26 @@ def cmd_smoke(args) -> int:
     out = _out_dir(args)
     seed = _global_seed(args)
     n_steps = 50
-    rc = cmd_simulate(argparse.Namespace(
-        model="nlar1", theta="5.3,0.015", seed=seed, n_steps=n_steps, x0=None,
-        format="csv", count=1, out=out / "observation", config=None))
-    if rc:
-        return rc
-    rc = cmd_train_enca(argparse.Namespace(
-        model="nlar1", q=3, minibatch=32, steps=200, lr=None, seed=seed,
-        n_steps=n_steps, c_x=None, out=out / "training", config=None))
-    if rc:
-        return rc
-    rc = cmd_abc(argparse.Namespace(
-        model="nlar1", observation=str(out / "observation" / "trajectory.csv"),
-        weights=str(out / "training" / "weights.sfwt"), stats="weights", q=None,
-        budget=2000, population=100, velocity=None, seed=seed, sampler="sabc",
-        threads=args.threads, out=out / "abc", config=None))
-    if rc:
-        return rc
-    rc = cmd_diagnose(argparse.Namespace(
-        posterior=None, reference=None, model="nlar1",
-        distances=str(out / "abc" / "samples.csv"), quantile=0.99, bins=20,
-        regressors=2, weights=str(out / "training" / "weights.sfwt"), scatter=200,
-        seed=seed, n_steps=n_steps, out=out / "diagnostics", config=None))
-    if rc:
-        return rc
+    weights = out / "training" / "weights.sfwt"
+    shared = ["--seed", seed] + ([] if args.config is None else ["--config", args.config])
+    steps = [
+        ["simulate", "--model", "nlar1", "--theta", "5.3,0.015", "--n-steps", n_steps,
+         "--out", out / "observation"],
+        ["train-enca", "--model", "nlar1", "--q", 3, "--minibatch", 32, "--steps", 200,
+         "--n-steps", n_steps, "--out", out / "training"],
+        ["abc", "--model", "nlar1", "--observation", out / "observation" / "trajectory.csv",
+         "--weights", weights, "--budget", 2000, "--population", 100, "--out", out / "abc"]
+        + ([] if args.threads is None else ["--threads", args.threads]),
+        ["diagnose", "--model", "nlar1", "--distances", out / "abc" / "samples.csv",
+         "--bins", 20, "--regressors", 2, "--weights", weights, "--scatter", 200,
+         "--n-steps", n_steps, "--out", out / "diagnostics"],
+    ]
+    parser = build_parser()
+    for argv in steps:
+        step = parser.parse_args([str(a) for a in argv + shared])
+        rc = step.func(step)
+        if rc:
+            return rc
     cfgmod.write_manifest(out, command="smoke", config={"n_steps": n_steps},
                           seeds={"seed": seed}, started=started)
     print(f"smoke pipeline finished in {time.perf_counter() - started:.1f}s")
@@ -553,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-steps", type=int, default=None)
     p.add_argument("--c-x", type=float, default=None)
     common(p)
-    p.set_defaults(func=cmd_train_enca)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("train-inca", help="train the implicit-noise autoencoder")
     p.add_argument("--model", choices=MODEL_IDS, required=True)
@@ -564,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--n-steps", type=int, default=None)
     common(p)
-    p.set_defaults(func=cmd_train_inca)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("encode", help="summary statistics from trained weights")
     p.add_argument("--weights", default=None)

@@ -8,14 +8,13 @@ density estimate and is robust for modest sample sizes.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 
 import numpy as np
 
 from .encoder import encode_batch
 from .models import (
+    DEFAULT_N_STEPS,
     PriorSpec,
     draw_noise_batch,
     model_spec,
@@ -23,7 +22,7 @@ from .models import (
     simulate_batch,
     stream,
 )
-from .samples import SampleSet
+from .samples import SampleSet, csv_text
 from .suffstats import stats_batch
 
 
@@ -92,15 +91,9 @@ def distance_histograms(record, bins: int = 30, n_components: int | None = None)
 
 
 def histograms_to_csv(tables) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["component", "bin_lo", "bin_hi", "count"])
-    for tab in tables:
-        edges, counts = tab["edges"], tab["counts"]
-        for i in range(len(counts)):
-            w.writerow([tab["component"], repr(float(edges[i])),
-                        repr(float(edges[i + 1])), int(counts[i])])
-    return buf.getvalue()
+    return csv_text(["component", "bin_lo", "bin_hi", "count"],
+                    ([tab["component"], lo, hi, int(n)] for tab in tables
+                     for lo, hi, n in zip(tab["edges"][:-1], tab["edges"][1:], tab["counts"])))
 
 
 def pearson(a, b) -> float:
@@ -150,7 +143,7 @@ def auc_score(scores, labels) -> float:
 _SCATTER_TAG = 0xD1A
 
 
-def regression_scatter(weights, model, m: int, seed: int = 0, n_steps: int = 200):
+def regression_scatter(weights, model, m: int, seed: int = 0, n_steps: int = DEFAULT_N_STEPS):
     """Encoder regressors against true parameters on fresh prior draws.
 
     Returns a dict with the true thetas, all q statistics, per-component
@@ -170,22 +163,14 @@ def regression_scatter(weights, model, m: int, seed: int = 0, n_steps: int = 200
 
 
 def regression_scatter_csv(table) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    names = list(table["param_names"])
     q = table["stats"].shape[1]
-    header = [f"theta_{n}" for n in names] + [f"s{i + 1}" for i in range(q)]
-    has_suff = "suffstats" in table
-    if has_suff:
+    header = ([f"theta_{n}" for n in table["param_names"]]
+              + [f"s{i + 1}" for i in range(q)])
+    columns = [table["theta"], table["stats"]]
+    if "suffstats" in table:
         header += ["alpha_hat", "sigma2_hat", "order"]
-    w.writerow(header)
-    for i in range(table["theta"].shape[0]):
-        row = [repr(float(v)) for v in table["theta"][i]]
-        row += [repr(float(v)) for v in table["stats"][i]]
-        if has_suff:
-            row += [repr(float(v)) for v in table["suffstats"][i]]
-        w.writerow(row)
-    return buf.getvalue()
+        columns.append(table["suffstats"])
+    return csv_text(header, np.hstack(columns))
 
 
 def attractor_threshold(o_values: np.ndarray, min_gap_fraction: float = 0.2):
@@ -204,7 +189,7 @@ def attractor_threshold(o_values: np.ndarray, min_gap_fraction: float = 0.2):
     return float(0.5 * (o[k] + o[k + 1]))
 
 
-def latent_scatter(weights, model, m: int, seed: int = 0, n_steps: int = 200,
+def latent_scatter(weights, model, m: int, seed: int = 0, n_steps: int = DEFAULT_N_STEPS,
                    pilot: int = 1000):
     """Latent statistics with attractor labels (nlar1 only).
 
@@ -236,15 +221,7 @@ def latent_scatter(weights, model, m: int, seed: int = 0, n_steps: int = 200,
 
 
 def latent_scatter_csv(table) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    q = table["stats"].shape[1]
-    header = [f"s{i + 1}" for i in range(q)] + ["order", "label"]
-    w.writerow(header)
-    labels = table["labels"]
-    for i in range(table["stats"].shape[0]):
-        row = [repr(float(v)) for v in table["stats"][i]]
-        row.append(repr(float(table["order"][i])))
-        row.append("" if labels is None else int(labels[i]))
-        w.writerow(row)
-    return buf.getvalue()
+    stats, labels = table["stats"], table["labels"]
+    return csv_text([f"s{i + 1}" for i in range(stats.shape[1])] + ["order", "label"],
+                    ([*stats[i], table["order"][i], "" if labels is None else int(labels[i])]
+                     for i in range(stats.shape[0])))

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import encode_forward, init_encoder
-from .models import BareNoise, model_spec, prior_predictive, stream
+from .models import DEFAULT_N_STEPS, BareNoise, model_spec, prior_predictive, stream
 
 
 @dataclass
@@ -30,9 +30,16 @@ class EncaConfig:
     steps: int = 1000
     lr: float = 1e-3
     seed: int = 0
-    n_steps: int = 200
+    n_steps: int = DEFAULT_N_STEPS
     c_x: float | None = None       # None -> pilot estimate
     log_every: int = 100
+
+    def __post_init__(self):
+        for name in ("q", "minibatch", "log_every"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
 
 
 @dataclass
@@ -99,7 +106,7 @@ def enca_decode(s, noise: BareNoise, weights) -> Reconstruction:
     return Reconstruction(x_hat=x_hat)
 
 
-def estimate_cx(model, n_pilot: int = 10_000, n_steps: int = 200,
+def estimate_cx(model, n_pilot: int = 10_000, n_steps: int = DEFAULT_N_STEPS,
                 seed: int = 0) -> float:
     """Denominator floor: 0.05 * prior-predictive std of |x| over a pilot run."""
     _, _, x = prior_predictive(model, n_pilot, n_steps, stream(seed, 0xC0))

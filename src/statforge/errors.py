@@ -39,3 +39,8 @@ class DegenerateStatisticError(StatforgeError):
 
 class TrainingDivergedError(StatforgeError):
     """Loss or gradient became non-finite during optimization."""
+
+
+class UsageError(Exception):
+    """A flag, the config file or an input file asks for something invalid
+    (exit code 2).  Not a StatforgeError: the run never started."""

@@ -22,6 +22,7 @@ from . import tensor as T
 from .encoder import encode_batch, encode_forward, init_encoder
 from .errors import StatforgeError
 from .models import (
+    DEFAULT_N_STEPS,
     draw_noise_batch,
     model_spec,
     sample_prior,
@@ -46,8 +47,15 @@ class IncaConfig:
     steps: int = 1000
     lr: float = 1e-3
     seed: int = 0
-    n_steps: int = 200
+    n_steps: int = DEFAULT_N_STEPS
     log_every: int = 100
+
+    def __post_init__(self):
+        for name in ("q", "n_replicas", "theta_batch", "log_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.steps < 0:
+            raise ValueError("steps must be >= 0")
 
 
 @dataclass

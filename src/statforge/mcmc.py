@@ -55,6 +55,8 @@ class McmcConfig:
             raise ValueError("burn_in_frac must be in [0, 1)")
         if self.chain_length < 1:
             raise ValueError("chain_length must be >= 1")
+        if self.thin < 1:
+            raise ValueError("thin must be >= 1")
         if self.chain_length % CHAINS:
             raise ValueError(f"chain_length {self.chain_length} is not a multiple "
                              f"of the {CHAINS} chains")

@@ -44,6 +44,9 @@ from .errors import (
 # in-prior parameters, so crossing it means the orbit escaped.
 DIVERGENCE_GUARD = 1e6
 
+# Trajectory length (steps after x0) of a run that does not set one.
+DEFAULT_N_STEPS = 200
+
 _TRAJ_MAGIC = b"SFTRAJ01"
 
 

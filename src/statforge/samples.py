@@ -37,25 +37,27 @@ class SampleSet:
         return self.draws.shape[1]
 
 
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows; floats are written as shortest
+    round-trip reprs, so re-parsing is bit-exact."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                      for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def sample_set_to_csv(ss: SampleSet) -> str:
     """One theta per row; distance columns appended when available."""
-    header = list(ss.param_names)
-    comp = ss.component_distances
-    if comp is not None:
-        header += [f"dist_{i + 1}" for i in range(comp.shape[1])]
+    header, columns = list(ss.param_names), [ss.draws]
+    if ss.component_distances is not None:
+        header += [f"dist_{i + 1}" for i in range(ss.component_distances.shape[1])]
+        columns.append(np.asarray(ss.component_distances, dtype=float))
     if ss.distances is not None:
         header.append("dist_total")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for i in range(ss.m):
-        row = [repr(float(v)) for v in ss.draws[i]]
-        if comp is not None:
-            row += [repr(float(v)) for v in comp[i]]
-        if ss.distances is not None:
-            row.append(repr(float(ss.distances[i])))
-        w.writerow(row)
-    return buf.getvalue()
+        columns.append(np.asarray(ss.distances, dtype=float)[:, None])
+    return csv_text(header, np.hstack(columns))
 
 
 def sample_set_from_csv(text: str, method: str = "csv") -> SampleSet:

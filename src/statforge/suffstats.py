@@ -16,14 +16,13 @@ comparisons against sigma itself.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UndefinedStatisticError
 from .models import Trajectory, f_nlar1
+from .samples import csv_text
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,6 @@ def suff_stats(traj: Trajectory) -> SufficientStats:
 
 def stats_to_csv(rows) -> str:
     """CSV rows (alpha_hat, sigma2_hat, order) plus sqrt(sigma2_hat)."""
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["alpha_hat", "sigma2_hat", "order", "sigma_hat"])
-    for row in np.atleast_2d(np.asarray(rows, dtype=float)):
-        a, s2, o = row[:3]
-        w.writerow([repr(float(a)), repr(float(s2)), repr(float(o)),
-                    repr(float(np.sqrt(s2)))])
-    return buf.getvalue()
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))[:, :3]
+    return csv_text(["alpha_hat", "sigma2_hat", "order", "sigma_hat"],
+                    np.column_stack([rows, np.sqrt(rows[:, 1])]))

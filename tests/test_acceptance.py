@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import kstest
+from scipy.stats import chisquare, kstest
 
 from conftest import fd_gradient, max_grad_error, quadratic_peak_max
 
@@ -198,11 +198,16 @@ def test_criterion_04_suffstat_oracle():
 
 
 def test_criterion_05_trapezoid_density():
+    """The trapezoid integrates to 1, and 1e6 draws of A*c + E fit it: one
+    chi-square goodness-of-fit test over 40 bins per case, each at level
+    0.001, so 10 cases raise a false alarm for an exact density with
+    probability at most 0.01 (Bonferroni)."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(505)
+    n_cases, family_alpha = 10, 0.01
     worst_int = 0.0
-    all_bins_ok = True
-    for _ in range(10):
+    p_values = []
+    for _ in range(n_cases):
         theta = sample_prior(DYNAMO_PRIOR, rng)
         x = rng.uniform(0.6, 1.3)
         alpha, delta, eps = theta
@@ -219,13 +224,15 @@ def test_criterion_05_trapezoid_density():
         probs = np.array([quad(lambda y: transition_density(DYNAMO, y, x, theta),
                                edges[i], edges[i + 1], points=pts)[0]
                           for i in range(40)])
-        se = np.sqrt(probs * (1 - probs) / n)
-        if not np.all(np.abs(counts / n - probs) <= 3 * se + 1e-7):
-            all_bins_ok = False
+        expected = n * probs / probs.sum()
+        assert expected.min() >= 5, "a bin too thin for the chi-square approximation"
+        p_values.append(chisquare(counts, expected).pvalue)
     elapsed = time.perf_counter() - t0
-    ok = worst_int < 1e-6 and all_bins_ok and elapsed < 120
-    record(5, ok, f"integral error {worst_int:.2e} (<1e-6), 10x40 Monte-Carlo "
-                  f"bins within 3 binomial SE: {all_bins_ok}, {elapsed:.1f}s (<120s)")
+    fit_ok = min(p_values) > family_alpha / n_cases
+    ok = worst_int < 1e-6 and fit_ok and elapsed < 120
+    record(5, ok, f"integral error {worst_int:.2e} (<1e-6), {n_cases} chi-square fits, "
+                  f"smallest p {min(p_values):.3g} (>{family_alpha / n_cases:g}, "
+                  f"family-wise false alarm {family_alpha:g}), {elapsed:.1f}s (<120s)")
 
 
 def test_criterion_06_metropolis_validity():

@@ -1,4 +1,5 @@
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +12,15 @@ from statforge.abcsampler import (
     stats_fn_from_weights,
 )
 from statforge.cli import main
-from statforge.config import load_config, model_spec_from_config
+from statforge.config import KEYS, load_config, model_spec_from_config
 from statforge.enca import EncaConfig, train_enca
 from statforge.encoder import MIN_INPUT_LENGTH, encoder_subset, init_encoder
+from statforge.inca import IncaConfig
 from statforge.mcmc import McmcConfig, metropolis_run
 from statforge.models import (
     DEFAULT_DYNAMO_MAP,
     TRUE_THETA,
+    DynamoMap,
     draw_bare_noise,
     simulate,
     trajectory_from_csv,
@@ -321,8 +324,8 @@ class TestConfiguredDynamoMap:
 
 
 class TestConfigFile:
-    """INI values reach the run as the flags do; without --config, each read
-    site's default runs."""
+    """INI values reach the run as the flags do; without --config, the run
+    dataclass's defaults run."""
 
     def _abc(self, out, obs_dir, *extra):
         assert run(["abc", "--model", "nlar1", "--stats", "suffstats",
@@ -343,8 +346,67 @@ class TestConfigFile:
         # the defaults of the keys neither the file nor the flags set
         assert from_flags["velocity"] == 0.3 and from_flags["proposal_scale"] == 0.5
 
+    def test_flag_overrides_the_file(self, tmp_path, obs_dir):
+        ini = tmp_path / "abc.ini"
+        ini.write_text("[abc]\npopulation = 30\nbudget = 300\n")
+        merged, _ = self._abc(tmp_path / "both", obs_dir, "--config", ini,
+                              "--population", "40")
+        assert merged["population"] == 40 and merged["budget"] == 300
+
+    def test_smoke_passes_the_file_to_its_steps(self, tmp_path, capsys):
+        ini = tmp_path / "typo.ini"
+        ini.write_text("[abc]\nvelocty = 0.01\n")
+        assert run(["smoke", "--config", ini, "--out", tmp_path / "smoke"]) == 2
+        assert "[abc] velocty: unknown key" in capsys.readouterr().err
+
     def test_no_file_reads_no_section(self):
         assert load_config() == {}
+
+    def test_keys_are_fields_of_the_run_dataclasses(self):
+        classes = {"dynamo_f2": DynamoMap, "enca": EncaConfig, "inca": IncaConfig,
+                   "abc": AbcConfig, "mcmc": McmcConfig}
+        for section, cls in classes.items():
+            hints = typing.get_type_hints(cls)
+            assert {key: hints[key] for key in KEYS[section]} == KEYS[section]
+
+
+class TestSettingsChecks:
+    """A flag given as 0 runs as 0; an unknown key, an uncastable value or an
+    out-of-range setting is a usage error (exit 2) without a traceback."""
+
+    BASE = {"abc": ["--model", "nlar1", "--stats", "suffstats", "--budget", "300",
+                    "--population", "30", "--seed", "5"],
+            "train-enca": ["--model", "nlar1", "--steps", "2", "--minibatch", "8"]}
+    # (command, flags, INI text, exit code, stderr fragment)
+    CASES = {
+        "velocity_flag_0": ("abc", ["--velocity", "0"], None, 0, ""),
+        "n_steps_flag_0": ("train-enca", ["--n-steps", "0"], None, 2,
+                           "n_steps = 0 is too short for the encoder"),
+        "uncastable_value": ("abc", [], "[abc]\npopulation = abc\n", 2,
+                             "[abc] population: invalid literal"),
+        "misspelt_key": ("abc", [], "[abc]\nvelocty = 0.01\n", 2,
+                         "[abc] velocty: unknown key"),
+        "population_flag_5": ("abc", ["--population", "5"], None, 2,
+                              "[abc]: population must be >= 10"),
+        "prior_without_hi": ("abc", [], "[prior]\nalpha = 4.2\n", 2,
+                             "[prior] alpha: expected lo,hi"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_case(self, tmp_path, obs_dir, capsys, case):
+        command, flags, ini, code, message = self.CASES[case]
+        argv = [command, *self.BASE[command], *flags, "--out", tmp_path / "out"]
+        if command == "abc":
+            argv += ["--observation", obs_dir / "trajectory.csv"]
+        if ini is not None:
+            (tmp_path / "run.ini").write_text(ini)
+            argv += ["--config", tmp_path / "run.ini"]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        if code == 0:
+            manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+            assert manifest["config"]["abc"]["config"]["velocity"] == 0.0
 
 
 class TestBlasThreads:
@@ -461,6 +523,36 @@ class TestMcmcAndDiagnose:
 
     def test_diagnose_requires_work(self, tmp_path):
         assert run(["diagnose", "--out", tmp_path / "d"]) == 2
+
+
+class TestDiagnoseInputs:
+    """A missing sample file, half of the --posterior/--reference pair, or a
+    pair of different dimension is a usage error (exit 2)."""
+
+    CASES = {
+        "missing_posterior": (["--posterior", "nope.csv", "--reference", "ok.csv"],
+                              "--posterior: file not found"),
+        "missing_reference": (["--posterior", "ok.csv", "--reference", "nope.csv"],
+                              "--reference: file not found"),
+        "missing_distances": (["--distances", "nope.csv"], "--distances: file not found"),
+        "posterior_alone": (["--posterior", "ok.csv", "--distances", "ok.csv"],
+                            "--posterior and --reference go together"),
+        "reference_alone": (["--reference", "ok.csv", "--distances", "ok.csv"],
+                            "--posterior and --reference go together"),
+        "dimensions_differ": (["--posterior", "ok.csv", "--reference", "dynamo.csv"],
+                              "--posterior has 2 parameters, --reference 3"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_case(self, tmp_path, capsys, case):
+        (tmp_path / "ok.csv").write_text(
+            "alpha,sigma,dist_1,dist_total\n5.0,0.01,0.1,0.1\n5.1,0.02,0.2,0.2\n")
+        (tmp_path / "dynamo.csv").write_text("alpha,delta,eps\n1.1,0.1,0.1\n1.2,0.2,0.1\n")
+        flags, message = self.CASES[case]
+        argv = [tmp_path / f if f.endswith(".csv") else f for f in flags]
+        assert run(["diagnose", *argv, "--out", tmp_path / "d"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 class TestManifestReproducibility:
