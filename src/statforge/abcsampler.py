@@ -42,6 +42,9 @@ from .models import (
 from .samples import SampleSet
 
 _INIT_SWEEP = 0
+# The statistics only enter a distance whose tolerance ends near 0.1 of a
+# standardised unit, so the encoder runs in float32 for ABC.
+ENCODER_DTYPE = np.float32
 # purpose tags keep proposal streams and simulation-noise streams disjoint
 PROPOSAL_TAG = 1
 NOISE_TAG = 2
@@ -113,11 +116,18 @@ def standardizer_from_stats(stats: np.ndarray, seed: int = 0) -> Standardizer:
 
 
 def stats_fn_from_weights(weights):
-    """Batch statistics via the trained encoder."""
-    from .encoder import encode_batch
+    """Batch statistics via the trained encoder, computed in ENCODER_DTYPE.
+
+    The encoder constants are cast once, here; the standardizer, the
+    observation and every particle then get their statistics from the same
+    float32 encoder, returned as float64.
+    """
+    from .encoder import encode_batch, encoder_constants
+
+    constants = encoder_constants(weights, ENCODER_DTYPE)
 
     def fn(x: np.ndarray, x0: float) -> np.ndarray:
-        return encode_batch(x, weights)
+        return encode_batch(x, constants, dtype=ENCODER_DTYPE)
 
     return fn
 

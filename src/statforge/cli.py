@@ -162,6 +162,8 @@ def cmd_simulate(args) -> int:
     spec = cfgmod.model_spec_from_config(cfg, args.model)
     theta = _parse_theta(args.theta) if args.theta else spec.true_theta
     n_steps = cfgmod.n_steps_setting(cfg, args.n_steps)
+    if n_steps < 1:
+        raise UsageError(f"n_steps = {n_steps} is too short; at least 1 step is needed")
     x0 = args.x0 if args.x0 is not None else spec.prior.x0
     if args.format == "csv":
         noise = draw_bare_noise(spec, n_steps, seed)
@@ -194,13 +196,12 @@ def cmd_bifurcation(args) -> int:
                                    n_record=args.record, x0=x0)
         for pt in points:
             for v in pt.values:
-                rows.append((pt.alpha, x0, v, pt.diverged))
+                rows.append((pt.alpha, x0, v, int(pt.diverged)))
             if pt.diverged:
-                rows.append((pt.alpha, x0, float("nan"), True))
-    lines = ["alpha,x0,value,diverged"]
-    for a, x0, v, div in rows:
-        lines.append(f"{a!r},{'' if x0 is None else repr(x0)},{v!r},{int(div)}")
-    (out / "bifurcation.csv").write_text("\n".join(lines) + "\n")
+                rows.append((pt.alpha, x0, float("nan"), 1))
+    # a sweep without --x0 leaves the x0 cells empty
+    (out / "bifurcation.csv").write_text(
+        csv_text(["alpha", "x0", "value", "diverged"], rows))
     cfgmod.write_manifest(
         out, command="bifurcation",
         config={"model": args.model, "alpha_min": args.alpha_min,
@@ -288,9 +289,11 @@ def cmd_abc(args) -> int:
             raise UsageError("--stats suffstats is only defined for nlar1")
         stats_fn = abcsampler.stats_fn_suffstats()
         stats_src = "suffstats"
+        encoder_dtype = None
     else:
         stats_fn = abcsampler.stats_fn_from_weights(_encoder_weights(args.weights))
         stats_src = str(args.weights)
+        encoder_dtype = np.dtype(abcsampler.ENCODER_DTYPE).name
         input_hashes[str(args.weights)] = cfgmod.sha256_of_file(args.weights)
     if args.q is not None:
         stats_fn = abcsampler.stats_fn_subset(stats_fn, list(range(args.q)))
@@ -306,15 +309,16 @@ def cmd_abc(args) -> int:
                 spec, None, stats_fn, observation, n_sims=run_cfg.budget,
                 keep_fraction=keep, seed=seed, n_steps=observation.n_steps)
     (out / "samples.csv").write_text(sample_set_to_csv(sample))
-    trace_lines = ["sweep,acceptance,tolerance"]
-    for i, tol in enumerate(record.tolerance_trace):
-        acc = record.acceptance_trace[i - 1] if 0 < i <= len(record.acceptance_trace) else ""
-        trace_lines.append(f"{i},{acc},{tol!r}")
-    (out / "trace.csv").write_text("\n".join(trace_lines) + "\n")
+    # sweep i's acceptance moved the tolerance from row i-1 to row i
+    acceptance = record.acceptance_trace
+    (out / "trace.csv").write_text(csv_text(
+        ["sweep", "acceptance", "tolerance"],
+        ((i, acceptance[i - 1] if i else "", tol)
+         for i, tol in enumerate(record.tolerance_trace))))
     cfgmod.write_manifest(
         out, command="abc",
         config={"model": spec.id, "sampler": args.sampler,
-                "stats": stats_src, "q": args.q,
+                "stats": stats_src, "q": args.q, "encoder_dtype": encoder_dtype,
                 "abc": sample.manifest, "model_spec": spec.record()},
         seeds={"seed": seed}, input_hashes=input_hashes,
         extra={"blas_threads": blas_threads}, started=started)

@@ -112,7 +112,8 @@ def model_spec_from_config(cfg: dict, model_id: str) -> ModelSpec:
     A [prior] section overrides the shipped bounds and [model] x0 the
     initial condition; a [prior] name the model lacks is a UsageError.  The
     [dynamo_f2] constants build the dynamo map; its ``source`` is "config"
-    when they differ from the shipped ones.
+    when they differ from the shipped ones, and constants the map rejects
+    (a width <= 0, a value that is not finite) are a UsageError.
     """
     base = model_spec(model_id)
     bounds = cfg.get("prior", {})
@@ -129,7 +130,10 @@ def model_spec_from_config(cfg: dict, model_id: str) -> ModelSpec:
     spec = replace(base, prior=PriorSpec(base.prior.names, lower, upper, x0=x0))
     if spec.f2 is None:
         return spec
-    f2 = DynamoMap(**cfg.get("dynamo_f2", {}))
+    try:
+        f2 = DynamoMap(**cfg.get("dynamo_f2", {}))
+    except ValueError as err:
+        raise UsageError(f"[dynamo_f2]: {err}") from err
     if f2 != DEFAULT_DYNAMO_MAP:
         f2 = replace(f2, source="config")
     return replace(spec, f2=f2)

@@ -84,19 +84,30 @@ def shape_trace(n_steps: int, q: int, lead_shape: tuple = (1,), c_in: int = 1):
     return trace
 
 
-def encode_batch(x: np.ndarray, weights) -> np.ndarray:
-    """(B, N) or (B, N, C) trajectories -> (B, q) statistics (no graph).
+def encoder_constants(weights, dtype=np.float64) -> dict:
+    """The encoder's kernels and biases as graph-free ``dtype`` tensors.
 
-    Trainable tensors in ``weights`` are read as constants, so inference
-    never builds a graph, whatever holds the weights.
+    Trainable tensors in ``weights`` are read as constants; arrays already
+    of ``dtype`` are shared, not copied.
     """
-    x = np.asarray(x, dtype=float)
+    return {key: T.Tensor(np.asarray(T.astensor(weights[key]).data, dtype=dtype))
+            for name, _k, filters, _act in ENCODER_LAYERS if filters is not None
+            for key in (f"encoder.{name}.kernel", f"encoder.{name}.bias")}
+
+
+def encode_batch(x: np.ndarray, weights, dtype=np.float64) -> np.ndarray:
+    """(B, N) or (B, N, C) trajectories -> (B, q) float64 statistics (no graph).
+
+    The weights and the trajectories are cast to ``dtype`` and the forward
+    pass runs in it, so inference never builds a graph, whatever holds the
+    weights.  float64 (the default) gives the bits of the training graph's
+    forward pass; float32 is for callers whose statistics need no more.
+    """
+    x = np.asarray(x, dtype=dtype)
     if x.ndim == 2:
         x = x[..., None]
-    constants = {key: T.astensor(weights[key]).detach()
-                 for name, _k, filters, _act in ENCODER_LAYERS if filters is not None
-                 for key in (f"encoder.{name}.kernel", f"encoder.{name}.bias")}
-    return encode_forward(constants, T.Tensor(x)).data
+    out = encode_forward(encoder_constants(weights, dtype), T.Tensor(x)).data
+    return out.astype(np.float64, copy=False)
 
 
 def encode(traj, weights) -> np.ndarray:

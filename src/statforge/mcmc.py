@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateLikelihoodError
 from .models import PriorSpec, Trajectory, log_likelihood_fn, model_spec, stream
@@ -185,6 +184,9 @@ def _split(chains: np.ndarray) -> np.ndarray:
 
 def _rank_normalize(chains: np.ndarray) -> np.ndarray:
     """Normal scores of the pooled ranks, ties given their average rank."""
+    # imported here: scipy.special takes most of `import statforge`'s time
+    from scipy.special import ndtri
+
     flat = chains.ravel()
     order = np.argsort(flat, kind="stable")
     ordered = flat[order]

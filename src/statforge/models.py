@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (
     DegenerateLikelihoodError,
@@ -74,7 +73,17 @@ class DynamoMap:
     d2: float = 0.25
     source: str = "calibrated"
 
+    def __post_init__(self):
+        values = (self.x1, self.d1, self.x2, self.d2)
+        if not all(np.isfinite(values)):
+            raise ValueError(f"f2 constants must be finite, got x1, d1, x2, d2 = {values}")
+        if not (self.d1 > 0 and self.d2 > 0):
+            raise ValueError(f"f2 widths must be > 0, got d1 = {self.d1}, d2 = {self.d2}")
+
     def __call__(self, x):
+        # imported here: scipy.special takes most of `import statforge`'s time
+        from scipy.special import erf
+
         x = np.asarray(x, dtype=float)
         lo = 1.0 + erf((x - self.x1) / self.d1)
         hi = 1.0 - erf((x - self.x2) / self.d2)

@@ -1,15 +1,20 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense CPU numpy tensors with reverse-mode automatic differentiation.
 
 Covers exactly the layer zoo the two autoencoders need: valid 1-D
 convolution, max/global-average pooling, dense layers with a small set of
 activations, a fused bidirectional LSTM with hand-rolled backpropagation
-through time, and bias-corrected Adam.  Everything is CPU numpy in 64-bit,
-with one implementation per layer (the LSTM cell loops included, which have
-no compiled variant); forward passes are deterministic and single-threaded
-training is bit-reproducible.
+through time, and bias-corrected Adam.  There is one implementation per
+layer (the LSTM cell loops included, which have no compiled variant);
+forward passes are deterministic and single-threaded training is
+bit-reproducible.
 
 Graphs are built only while some input requires gradients, so the same ops
-double as a plain (graph-free) inference path.
+double as a plain (graph-free) inference path.  Everything a graph touches
+is float64: parameters, gradients and every tensor that requires gradients.
+A tensor that does not require gradients keeps a float32 array's dtype
+(every other array becomes float64), and the conv, relu and maxpool ops
+compute a graph-free result in their inputs' dtype, so the same code runs
+float32 inference.
 
 Both autoencoders train through one driver, `train`: each step it zeroes
 the gradients, asks a model-specific closure for one fresh minibatch's loss
@@ -67,7 +72,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_pooled")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=float)
+        data = np.asarray(data)
+        if requires_grad or data.dtype != np.float32:
+            data = np.asarray(data, dtype=float)
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = parents if requires_grad else ()
@@ -219,9 +227,12 @@ POOL_MAX_BYTES = 64 * 2**20
 POOL = BufferPool(POOL_MAX_BYTES)
 
 
-def _alloc(tracked: bool):
-    """The allocator of an op: the pool while building a graph, else numpy."""
-    return POOL.take if tracked else np.empty
+def _alloc(tracked: bool, dtype=float):
+    """The allocator of an op: the float64 pool while building a graph, else
+    numpy arrays of ``dtype``."""
+    if tracked:
+        return POOL.take
+    return lambda shape: np.empty(shape, dtype)
 
 
 def _accum(t: Tensor, g: np.ndarray, owned: bool = False):
@@ -385,7 +396,7 @@ def relu(a):
     # of becoming 0.  The mask is needed only by the backward pass.
     a = astensor(a)
     tracked = _tracked(a)
-    out_data = np.maximum(a.data, 0.0, out=_alloc(tracked)(a.data.shape))
+    out_data = np.maximum(a.data, 0.0, out=_alloc(tracked, a.data.dtype)(a.data.shape))
 
     def bwd(g):
         _accum(a, np.multiply(g, a.data > 0, out=POOL.take(g.shape)), owned=True)
@@ -539,7 +550,7 @@ def conv1d_valid(x, kernel, bias=None):
         bias = astensor(bias)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     tracked = _tracked(*parents)
-    alloc = _alloc(tracked)
+    alloc = _alloc(tracked, np.result_type(*(p.data for p in parents)))
     cols = _im2col(x.data, k, alloc)
     out_data = alloc(lead + (length - k + 1, c_out))
     np.dot(cols, kernel.data.reshape(k * c_in, c_out), out=out_data.reshape(-1, c_out))
@@ -585,8 +596,11 @@ def conv1d_valid(x, kernel, bias=None):
 def maxpool1d(x, window: int = 2):
     """Windowed max with stride = window; odd trailing element is dropped.
 
-    The gradient goes to the first maximal element of each window; its
-    argmax is taken in the backward pass, so inference never computes it.
+    The max is a running ``np.maximum`` over the window's rows, written into
+    the output: the same bits as ``max(axis=-2)`` over each window, a NaN
+    included, without a reduction along a strided axis.  The gradient goes
+    to the first maximal element of each window; its argmax is taken in the
+    backward pass, so inference never computes it.
     """
     x = astensor(x)
     length = x.data.shape[-2]
@@ -594,7 +608,14 @@ def maxpool1d(x, window: int = 2):
     windows = x.data.shape[:-2] + (n_out, window, x.data.shape[-1])
     shaped = x.data[..., : n_out * window, :].reshape(windows)
     tracked = _tracked(x)
-    out_data = shaped.max(axis=-2, out=_alloc(tracked)(windows[:-2] + windows[-1:]))
+    out_data = _alloc(tracked, x.data.dtype)(windows[:-2] + windows[-1:])
+    rows = [shaped[..., j, :] for j in range(window)]
+    if window == 1:
+        np.copyto(out_data, rows[0])
+    else:
+        np.maximum(rows[0], rows[1], out=out_data)
+    for row in rows[2:]:
+        np.maximum(out_data, row, out=out_data)
     _check_finite(out_data, "maxpool1d")
 
     def bwd(g):

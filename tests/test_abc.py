@@ -28,6 +28,7 @@ from statforge.models import (
     draw_bare_noise,
     model_spec,
     prior_for,
+    prior_predictive,
     sample_prior,
     simulate_batch,
     simulate_nlar1,
@@ -333,3 +334,47 @@ class TestStatsFns:
         assert np.all(sample.draws <= NLAR1_PRIOR.upper)
         assert record.component.shape == (100, 3)
         assert np.all(np.diff(record.tolerance_trace) <= 1e-15)
+
+
+class TestFloat32EncoderStatistics:
+    """ABC's encoder statistics run in float32: float64 out, within 1e-5 of
+    each component's float64 spread, off the training buffer pool, and a
+    non-finite trajectory still raises."""
+
+    @pytest.fixture
+    def weights(self):
+        from statforge.encoder import encoder_subset, init_encoder
+
+        return encoder_subset(init_encoder(3, stream(11, 0)))
+
+    @pytest.mark.parametrize("model, n_steps", [("dynamo", 100), ("nlar1", 200)])
+    def test_within_1e5_of_the_float64_spread(self, weights, model, n_steps):
+        from statforge.encoder import encode_batch
+
+        spec = model_spec(model)
+        _, _, x = prior_predictive(spec, 1000, n_steps, stream(12, 0))
+        want = encode_batch(x, weights)
+        got = stats_fn_from_weights(weights)(x, spec.prior.x0)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert not np.array_equal(got, want)  # it did run in float32
+        spread = np.std(want, axis=0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-5 * spread)
+
+    def test_leaves_the_pool_untouched(self, weights):
+        from test_tensor import pool_snapshot
+
+        before = pool_snapshot()
+        x = np.random.default_rng(13).standard_normal((300, 100))
+        stats_fn_from_weights(weights)(x, 0.0)
+        assert pool_snapshot() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])  # 1e39 overflows float32
+    def test_non_finite_input_raises(self, weights, bad):
+        from statforge.errors import TrainingDivergedError
+
+        x = np.random.default_rng(14).standard_normal((20, 100))
+        x[7, 40] = bad
+        # numpy warns of the cast's overflow; what matters is the raise
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError,
+                                                       match="non-finite"):
+            stats_fn_from_weights(weights)(x, 0.0)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import typing
 from pathlib import Path
@@ -131,6 +133,8 @@ class TestTrainAndEncode:
         ss = sample_set_from_csv((abc_out / "samples.csv").read_text())
         assert ss.m == 50
         assert ss.component_distances.shape == (50, 3)
+        manifest = json.loads((abc_out / "manifest.json").read_text())
+        assert manifest["config"]["encoder_dtype"] == "float32"
 
     def test_train_inca_cli(self, tmp_path):
         out = tmp_path / "inca"
@@ -376,7 +380,8 @@ class TestSettingsChecks:
 
     BASE = {"abc": ["--model", "nlar1", "--stats", "suffstats", "--budget", "300",
                     "--population", "30", "--seed", "5"],
-            "train-enca": ["--model", "nlar1", "--steps", "2", "--minibatch", "8"]}
+            "train-enca": ["--model", "nlar1", "--steps", "2", "--minibatch", "8"],
+            "simulate": ["--model", "dynamo", "--n-steps", "30", "--seed", "0"]}
     # (command, flags, INI text, exit code, stderr fragment)
     CASES = {
         "velocity_flag_0": ("abc", ["--velocity", "0"], None, 0, ""),
@@ -390,6 +395,14 @@ class TestSettingsChecks:
                               "[abc]: population must be >= 10"),
         "prior_without_hi": ("abc", [], "[prior]\nalpha = 4.2\n", 2,
                              "[prior] alpha: expected lo,hi"),
+        "n_steps_flag_negative": ("simulate", ["--n-steps", "-1"], None, 2,
+                                  "n_steps = -1 is too short"),
+        "f2_width_0": ("simulate", [], "[dynamo_f2]\nd1 = 0\n", 2,
+                       "[dynamo_f2]: f2 widths must be > 0"),
+        "f2_width_negative": ("simulate", [], "[dynamo_f2]\nd1 = -0.15\n", 2,
+                              "[dynamo_f2]: f2 widths must be > 0"),
+        "f2_constant_nan": ("simulate", [], "[dynamo_f2]\nx2 = nan\n", 2,
+                            "[dynamo_f2]: f2 constants must be finite"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -476,6 +489,7 @@ class TestAbcSuffstats:
         assert ss.component_distances.shape == (50, 2)
         trace = (out / "trace.csv").read_text().strip().split("\n")
         assert trace[0] == "sweep,acceptance,tolerance"
+        assert json.loads((out / "manifest.json").read_text())["config"]["encoder_dtype"] is None
 
 
 class TestMcmcAndDiagnose:
@@ -553,6 +567,52 @@ class TestDiagnoseInputs:
         assert run(["diagnose", *argv, "--out", tmp_path / "d"]) == 2
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
+
+
+class TestCsvCells:
+    # a 4000-proposal chain is too short to converge; only its CSV matters here
+    @pytest.mark.filterwarnings("ignore:Metropolis chains disagree")
+    def test_every_cell_the_cli_writes_is_a_number(self, tmp_path, obs_dir):
+        """Every non-empty data cell of every CSV the CLI writes parses with
+        float().  An empty cell holds no value: sweep 0's acceptance, the x0
+        of a sweep run without --x0."""
+        obs = obs_dir / "trajectory.csv"
+        weights = tmp_path / "train" / "weights.sfwt"
+        for argv in (
+                ["bifurcation", "--model", "nlar1", "--alpha-min", "4.2", "--alpha-max",
+                 "5.8", "--points", "3", "--transient", "50", "--record", "4",
+                 "--out", tmp_path / "bif"],
+                ["bifurcation", "--model", "dynamo", "--alpha-min", "0.9", "--alpha-max",
+                 "1.4", "--points", "3", "--transient", "50", "--record", "4",
+                 "--x0", "1.0,0.5", "--out", tmp_path / "bif_x0"],
+                ["suffstats", "--input", obs, "--out", tmp_path / "suff"],
+                ["train-enca", "--model", "nlar1", "--q", "3", "--steps", "2",
+                 "--minibatch", "8", "--n-steps", "60", "--seed", "3", "--c-x", "0.05",
+                 "--out", tmp_path / "train"],
+                ["encode", "--weights", weights, "--input", obs, "--out", tmp_path / "enc"],
+                ["abc", "--model", "nlar1", "--observation", obs, "--weights", weights,
+                 "--budget", "200", "--population", "20", "--seed", "5",
+                 "--out", tmp_path / "abc"],
+                ["mcmc", "--model", "nlar1", "--observation", obs, "--chain-length",
+                 "4000", "--seed", "1", "--out", tmp_path / "mcmc"],
+                ["diagnose", "--posterior", tmp_path / "abc" / "samples.csv",
+                 "--reference", tmp_path / "mcmc" / "samples.csv", "--model", "nlar1",
+                 "--distances", tmp_path / "abc" / "samples.csv", "--bins", "5",
+                 "--weights", weights, "--scatter", "50", "--n-steps", "60",
+                 "--out", tmp_path / "diag"]):
+            assert run(argv) == 0, argv
+        files = sorted(tmp_path.rglob("*.csv"))
+        assert {p.name for p in files} == {
+            "trajectory.csv", "bifurcation.csv", "suffstats.csv", "stats.csv",
+            "samples.csv", "trace.csv", "wasserstein.csv", "quantiles.csv",
+            "histograms.csv", "regression.csv", "latent.csv"}
+        for path in files:
+            rows = list(csv.reader(io.StringIO(path.read_text())))
+            assert len(rows) > 1, path
+            for row in rows[1:]:
+                for cell in row:
+                    if cell:
+                        float(cell)  # a numpy repr such as np.float64(0.5) raises
 
 
 class TestManifestReproducibility:

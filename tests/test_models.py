@@ -630,6 +630,14 @@ class TestModelSpec:
         assert log_likelihood(traj, theta, spec) == float(log_dens.sum())
         assert log_likelihood(traj, theta, "dynamo") != log_likelihood(traj, theta, spec)
 
+    @pytest.mark.parametrize("bad", [{"d1": 0.0}, {"d1": -0.15}, {"d2": 0.0},
+                                     {"x1": np.nan}, {"x2": np.inf}, {"d2": np.nan}])
+    def test_f2_constants_are_range_checked(self, bad):
+        with pytest.raises(ValueError, match="f2"):
+            DynamoMap(**bad)
+        with pytest.raises(ValueError, match="f2"):
+            replace(CUSTOM_F2, **bad)
+
     def test_record_is_json_ready(self):
         import json
 
@@ -666,3 +674,23 @@ class TestTrajectoryIO:
         path.write_bytes(b"NOTMAGIC" + b"\0" * 40)
         with pytest.raises(ValueError):
             load_trajectory_batch(path)
+
+
+def test_import_and_nlar1_simulation_leave_scipy_special_unloaded():
+    # scipy.special is most of `import statforge`'s time; it loads only
+    # when the dynamo map or the R-hat diagnostics need it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import statforge
+
+    env = {**os.environ, "PYTHONPATH": str(Path(statforge.__file__).parent.parent)}
+    code = ("import sys, statforge\n"
+            "statforge.simulate('nlar1', statforge.models.TRUE_THETA['nlar1'],\n"
+            "                   statforge.draw_bare_noise('nlar1', 50, 0))\n"
+            "print('scipy.special' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=120)
+    assert out.stdout.split() == ["False"]

@@ -69,6 +69,14 @@ class TestPrimitives:
         check_op(lambda ts: T.tsum(T.power(
             T.concat([T.tile_time(ts[0], 5), ts[1]], axis=-1), 2.0)), [s, n])
 
+    def test_float32_kept_only_without_gradients(self):
+        x32 = np.ones(3, np.float32)
+        assert T.Tensor(x32).data.dtype == np.float32
+        assert T.Tensor(x32).detach().data.dtype == np.float32
+        assert T.Tensor(x32, requires_grad=True).data.dtype == np.float64
+        for other in (np.ones(3, np.float16), np.arange(3), [1, 2], 1.5):
+            assert T.Tensor(other).data.dtype == np.float64
+
     def test_backward_requires_scalar(self):
         p = T.Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):
@@ -551,6 +559,27 @@ class TestLayerOracles:
         out, (dx,) = forward_backward(T.maxpool1d, [x], g)
         assert same_bytes(out, oracle_maxpool(x))
         assert same_bytes(dx, oracle_maxpool_grad(x, g))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tracked", [False, True], ids=["inference", "graph"])
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_maxpool_matches_the_reduce_bytes(self, dtype, tracked, window, monkeypatch):
+        # odd length (a trailing row dropped), a NaN, ties and signed zeros
+        x = np.random.default_rng(window).integers(-2, 3, (5, 13, 4)).astype(dtype)
+        x[0, 2, 1] = np.nan
+        x[1, :6, 2] = [-0.0, 0.0, 0.0, -0.0, -0.0, -0.0]
+        n_out = 13 // window
+        want = x[:, :n_out * window].reshape(5, n_out, window, 4).max(axis=-2)
+        if tracked:
+            want = want.astype(np.float64)
+        with pytest.raises(TrainingDivergedError, match="maxpool1d"):
+            T.maxpool1d(T.Tensor(x, requires_grad=tracked), window)
+        # past the finite check, the NaN itself must come out as the reduce has it
+        monkeypatch.setattr(T, "_check_finite", lambda data, where: None)
+        got = T.maxpool1d(T.Tensor(x, requires_grad=tracked), window)
+        assert got.requires_grad == tracked
+        assert np.isnan(got.data[0, 2 // window, 1])
+        assert same_bytes(got.data, want)
 
     def test_maxpool_tie_gradient_goes_to_first_index(self):
         x = np.array([[[2.0], [2.0], [-1.0], [-1.0], [5.0]]])
