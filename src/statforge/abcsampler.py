@@ -9,12 +9,12 @@ exp(-velocity * acceptance_rate) -- fast annealing while moves are easy,
 automatic slowdown as the population tightens.  The schedule constants are
 not dictated by theory; they are recorded in the run manifest.
 
-Per-particle RNG streams are derived from (seed, purpose, sweep, particle), so
-results do not depend on evaluation order.  A Philox stream is fixed by its
-(key, counter), so each sweep builds one Philox per purpose with
-``models.row_streams`` and moves its counter from particle to particle; the
-draws are bit-identical to constructing ``stream(seed, purpose, sweep,
-particle)`` afresh for every particle.
+Each sweep draws from two counter-based streams, one per purpose:
+``stream(seed, PROPOSAL_TAG, sweep)`` gives every particle's proposal step
+and accept uniform, ``stream(seed, NOISE_TAG, sweep)`` the simulation noise.
+Particle i uses row i of each block.  numpy fills a block in C order, so a
+shorter block is a prefix of a longer one: a particle's draws depend only on
+(seed, purpose, sweep, particle), not on which particles are candidates.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .models import (
     draw_noise_batch,
     model_spec,
     prior_predictive,
-    row_streams,
     sample_prior,
     simulate_batch,
     stream,
@@ -163,27 +162,29 @@ def fit_standardizer(model, stats_fn, m: int = 2000, seed: int = 0,
 
 
 def distance(s_sim, s_obs, std: Standardizer):
-    """Euclidean norm of standardized differences, plus per-component parts."""
-    diff = np.abs(std.apply(s_sim) - std.apply(s_obs))
-    total = float(np.sqrt(np.sum(diff * diff)))
+    """Euclidean norm of standardized differences, plus per-component parts.
+
+    (B, q) statistics give (B,) totals and (B, q) parts; one (q,) row gives
+    a float and its (q,) parts, computed as the B=1 batch.
+    """
+    s_sim = np.asarray(s_sim, dtype=float)
+    diff = np.abs(std.apply(np.atleast_2d(s_sim)) - std.apply(s_obs))
+    total = np.sqrt(np.sum(diff * diff, axis=1))
+    if s_sim.ndim == 1:
+        return float(total[0]), diff[0]
     return total, diff
 
 
-def _distance_batch(stats: np.ndarray, s_obs: np.ndarray, std: Standardizer):
-    diff = np.abs(std.apply(stats) - std.apply(s_obs)[None, :])
-    return np.sqrt(np.sum(diff * diff, axis=1)), diff
-
-
 def _model_stat_sim(spec: ModelSpec, stats_fn, seed: int, n_steps: int):
-    """Per-particle-stream simulator: (thetas, sweep, particle ids) -> stats."""
-    prior, draw = spec.prior, spec.noise_draw
+    """(thetas, sweep, ascending particle ids) -> stats; particle i simulates
+    with row i of the noise block of ``stream(seed, NOISE_TAG, sweep)``."""
+    x0 = spec.prior.x0
 
     def sim(thetas: np.ndarray, sweep: int, particles: np.ndarray) -> np.ndarray:
-        noise = np.empty((thetas.shape[0], n_steps, spec.noise_channels))
-        for row, g in enumerate(row_streams(particles, seed, NOISE_TAG, sweep)):
-            draw(g, out=noise[row])
-        x = simulate_batch(spec, thetas, noise, x0=prior.x0)
-        return stats_fn(x, prior.x0)
+        block = draw_noise_batch(spec, int(particles[-1]) + 1, n_steps,
+                                 stream(seed, NOISE_TAG, sweep))
+        x = simulate_batch(spec, thetas, block[particles], x0=x0)
+        return stats_fn(x, x0)
 
     return sim
 
@@ -193,21 +194,20 @@ def sabc_core(stat_sim, prior: PriorSpec, s_obs: np.ndarray, std: Standardizer,
     """Annealed ABC over a generic statistic simulator.
 
     ``stat_sim(thetas, sweep, particle_ids)`` must return one statistics row
-    per theta, using RNG streams derived from (seed, sweep, particle).
+    per theta, drawing the randomness of particle i from row i of the
+    sweep's blocks; the ids come in ascending order.
 
-    Particle i's proposal in a sweep is drawn from ``stream(cfg.seed,
-    PROPOSAL_TAG, sweep, i)``: a standard-normal step, then the uniform of
-    its accept test.  The streams of one sweep come from one reused Philox
-    (``models.row_streams``), which gives the same bits as a fresh stream
-    per particle.  The last sweep may be cut short to stay within the
-    budget; stagnation is flagged only when a sweep that was not cut short
-    accepts nothing.
+    Each sweep draws the (population, p) standard-normal proposal steps and
+    then the population's accept uniforms from ``stream(cfg.seed,
+    PROPOSAL_TAG, sweep)``; particle i uses row i of both.  The last sweep
+    may be cut short to stay within the budget; stagnation is flagged only
+    when a sweep that was not cut short accepts nothing.
     """
     pop = cfg.population
     rng_init = stream(cfg.seed, _INIT_SWEEP)
     thetas = sample_prior(prior, rng_init, size=pop)
     stats = stat_sim(thetas, _INIT_SWEEP, np.arange(pop))
-    dist, comp = _distance_batch(stats, s_obs, std)
+    dist, comp = distance(stats, s_obs, std)
     sims_used = pop
     tol = float(np.median(dist))
     acceptance_trace = []
@@ -218,11 +218,9 @@ def sabc_core(stat_sim, prior: PriorSpec, s_obs: np.ndarray, std: Standardizer,
         sweep += 1
         spread = np.std(thetas, axis=0)
         scale = np.maximum(cfg.proposal_scale * spread, 1e-12 * prior.ranges)
-        z = np.empty_like(thetas)
-        u = np.empty(pop)
-        for i, g in enumerate(row_streams(range(pop), cfg.seed, PROPOSAL_TAG, sweep)):
-            g.standard_normal(out=z[i])
-            u[i] = g.random()
+        g = stream(cfg.seed, PROPOSAL_TAG, sweep)
+        z = g.standard_normal(thetas.shape)
+        u = g.random(pop)
         props = thetas + z * scale
         inbox = np.all((props >= prior.lower) & (props <= prior.upper), axis=1)
         candidates = np.flatnonzero(inbox)
@@ -233,7 +231,7 @@ def sabc_core(stat_sim, prior: PriorSpec, s_obs: np.ndarray, std: Standardizer,
         n_acc = 0
         if candidates.size:
             new_stats = stat_sim(props[candidates], sweep, candidates)
-            new_dist, new_comp = _distance_batch(new_stats, s_obs, std)
+            new_dist, new_comp = distance(new_stats, s_obs, std)
             sims_used += candidates.size
             log_ratio = -(new_dist - dist[candidates]) / tol
             accept = metropolis_accept(log_ratio, u[candidates])
@@ -309,7 +307,7 @@ def rejection_abc(model, prior: PriorSpec | None, stats_fn,
         hi = min(lo + chunk, n_sims)
         noise = draw_noise_batch(spec, hi - lo, n_steps, rng)
         x = simulate_batch(spec, thetas[lo:hi], noise, x0=prior.x0)
-        d, c = _distance_batch(stats_fn(x, prior.x0), s_obs, std)
+        d, c = distance(stats_fn(x, prior.x0), s_obs, std)
         if comp is None:
             comp = np.empty((n_sims, c.shape[1]))
         dist[lo:hi] = d

@@ -11,12 +11,10 @@ failures.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +38,7 @@ from .models import (
 )
 from .samples import csv_text, sample_set_from_csv, sample_set_to_csv
 from .suffstats import stats_batch, stats_to_csv
-from .tensor import load_weights, save_weights
+from .tensor import limit_threads, load_weights, save_weights
 
 
 def _global_seed(args) -> int:
@@ -61,6 +59,12 @@ def _parse_theta(text: str) -> np.ndarray:
         return np.array([float(v) for v in text.split(",")])
     except ValueError as err:
         raise UsageError(f"--theta: expected comma-separated floats, got {text!r}") from err
+
+
+def _at_least(value: int, lowest: int, flag: str):
+    """A ``flag`` value below ``lowest`` is a UsageError."""
+    if value < lowest:
+        raise UsageError(f"{flag} = {value} is out of range; at least {lowest} is needed")
 
 
 def _encoder_n_steps(cfg: dict, args) -> int:
@@ -109,53 +113,13 @@ def _encoder_weights(path) -> dict:
     return encoder_subset(load_weights(_existing(path, "--weights"))[0])
 
 
-def _openblas():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads"):
-            get = getattr(handle, name.format("get"), None)
-            set_ = getattr(handle, name.format("set"), None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-@contextmanager
-def _limit_threads(n: int | None):
-    """Run the block with numpy's OpenBLAS at ``n`` threads, then restore it.
-
-    Yields the manifest record ``{"requested", "applied", "in_effect"}``.
-    Without ``n`` (or with n <= 0) nothing changes; ``applied`` is False
-    then, and also when numpy does not bundle OpenBLAS.  ``in_effect`` is
-    the count OpenBLAS reports inside the block (None if unknown).
-    """
-    blas = _openblas()
-    record = {"requested": n, "applied": False,
-              "in_effect": None if blas is None else blas[0]()}
-    if blas is None or not n or n <= 0:
-        yield record
-        return
-    get, set_ = blas
-    previous = get()
-    set_(n)
-    record.update(applied=True, in_effect=get())
-    try:
-        yield record
-    finally:
-        set_(previous)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
     started = time.perf_counter()
+    _at_least(args.count, 1, "--count")
     cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
     seed = _global_seed(args)
@@ -185,6 +149,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_bifurcation(args) -> int:
     started = time.perf_counter()
+    _at_least(args.points, 1, "--points")
+    _at_least(args.transient, 0, "--transient")
+    _at_least(args.record, 1, "--record")
     cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
     spec = cfgmod.model_spec_from_config(cfg, args.model)
@@ -228,8 +195,7 @@ def cmd_suffstats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    """train-enca / train-inca with the [enca] or [inca] settings, on one BLAS
-    thread so that a fixed seed gives bit-identical weights."""
+    """train-enca / train-inca with the [enca] or [inca] settings."""
     started = time.perf_counter()
     cfg = cfgmod.load_config(args.config)
     out = _out_dir(args)
@@ -240,8 +206,7 @@ def cmd_train(args) -> int:
     train_cfg = cfgmod.run_config(
         cls, cfg, section, args, seed=_global_seed(args),
         n_steps=_encoder_n_steps(cfg, args))
-    with _limit_threads(1) as blas_threads:
-        result = train(spec, train_cfg)
+    result = train(spec, train_cfg)
     weights_path = out / "weights.sfwt"
     save_weights(weights_path, result.store, meta=result.meta)
     with open(out / "train_log.jsonl", "w") as fh:
@@ -251,8 +216,7 @@ def cmd_train(args) -> int:
         out, command=args.command, config=result.meta,
         seeds={"seed": train_cfg.seed},
         extra={"weights_sha256": cfgmod.sha256_of_file(weights_path),
-               "final_loss": result.log[-1]["loss"] if result.log else None,
-               "blas_threads": blas_threads},
+               "final_loss": result.log[-1]["loss"] if result.log else None},
         started=started)
     return 0
 
@@ -299,7 +263,7 @@ def cmd_abc(args) -> int:
         stats_fn = abcsampler.stats_fn_subset(stats_fn, list(range(args.q)))
     run_cfg = cfgmod.run_config(abcsampler.AbcConfig, cfg, "abc", args,
                                 seed=seed, n_steps=observation.n_steps)
-    with _limit_threads(args.threads) as blas_threads:
+    with limit_threads(args.threads) as blas_threads:
         if args.sampler == "sabc":
             sample, record = abcsampler.sabc_run(spec, None, stats_fn,
                                                  observation, run_cfg)
@@ -350,6 +314,8 @@ def cmd_diagnose(args) -> int:
     if (args.posterior is None) != (args.reference is None):
         raise UsageError("diagnose: --posterior and --reference go together; "
                          "pass both or neither")
+    if args.scatter is not None:
+        _at_least(args.scatter, 2, "--scatter")
     cfg = cfgmod.load_config(args.config)
     spec = cfgmod.model_spec_from_config(cfg, args.model or "nlar1")
     out = _out_dir(args)

@@ -181,8 +181,12 @@ _STREAM_KEY_SALT = 0x9E3779B97F4A7C15
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-def _stream_key_counter(seed: int, path) -> tuple[np.ndarray, np.ndarray]:
-    """Philox (key, counter) of the stream at (seed, *path)."""
+def stream(seed: int, *path: int) -> np.random.Generator:
+    """Counter-based RNG stream, disjoint for distinct (seed, path) tuples.
+
+    Parallel callers derive their streams from integer path components
+    (e.g. purpose and sweep) instead of sharing one generator.
+    """
     if len(path) > 3:
         raise ValueError("at most 3 path components")
     counter = np.zeros(4, dtype=np.uint64)
@@ -190,39 +194,7 @@ def _stream_key_counter(seed: int, path) -> tuple[np.ndarray, np.ndarray]:
         counter[i + 1] = np.uint64(int(part) & _U64)
     key = np.array([np.uint64(int(seed) & _U64), np.uint64(_STREAM_KEY_SALT)],
                    dtype=np.uint64)
-    return key, counter
-
-
-def stream(seed: int, *path: int) -> np.random.Generator:
-    """Counter-based RNG stream, disjoint for distinct (seed, path) tuples.
-
-    Parallel callers derive their streams from integer path components
-    (e.g. sweep and particle index) instead of sharing one generator.
-    """
-    key, counter = _stream_key_counter(seed, path)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
-def row_streams(rows, seed: int, *prefix: int):
-    """Yield, for each id in ``rows``, a generator equal to ``stream(seed, *prefix, row)``.
-
-    A Philox stream is fixed by its (key, counter) alone, so one Philox is
-    built per call and, for each row, its counter is set to the row's and
-    its output buffer emptied; the draws are bit-identical to a fresh
-    ``stream``.  The same generator object is yielded every time: it is
-    valid only until the next row is requested, so draw from it before
-    advancing the iterator and do not keep it.
-    """
-    key, counter = _stream_key_counter(seed, (*prefix, 0))
-    bitgen = np.random.Philox(key=key, counter=counter)
-    gen = np.random.Generator(bitgen)
-    fresh = bitgen.state          # counter as built, empty output buffer
-    row_counter = fresh["state"]["counter"]
-    slot = len(prefix) + 1
-    for row in rows:
-        row_counter[slot] = int(row) & _U64
-        bitgen.state = fresh
-        yield gen
 
 
 @dataclass
@@ -554,7 +526,11 @@ def bifurcation_sweep(model, alpha_grid, n_transient: int = 1000,
     noise-free map x' = alpha*f(x); dynamo holds alpha constant (u = 0) and
     puts the additive noise at its mean, x' = alpha*f2(x) + eps/2.
     Divergence is recorded per grid point instead of aborting the sweep.
+    ``n_transient`` must be >= 0 and ``n_record`` >= 1 (ValueError).
     """
+    if n_transient < 0 or n_record < 1:
+        raise ValueError(f"need n_transient >= 0 and n_record >= 1, "
+                         f"got {n_transient} and {n_record}")
     spec = model_spec(model)
     alphas = np.asarray(alpha_grid, dtype=float)
     thetas = np.tile(spec.true_theta, (alphas.size, 1))

@@ -41,12 +41,15 @@ of different shapes share a few buffers.  The idle pool is bounded by
 the acceptance configurations; past it the buffers of the least recently
 given sizes are dropped.  Pooling changes no arithmetic: outputs and
 gradients are bit-identical to plain allocation.  Training runs from one
-thread at a time.
+thread at a time, with numpy's OpenBLAS held at one thread (`limit_threads`)
+so that a fixed seed gives the same weights on any machine.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
+import functools
 import json
 import math
 import struct
@@ -953,6 +956,52 @@ class TrainResult:
     meta: dict
 
 
+@functools.cache
+def openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None;
+    looked up on first use, so importing the package loads no library."""
+    import ctypes
+    from pathlib import Path
+
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get = getattr(handle, name.format("get"), None)
+            set_ = getattr(handle, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def limit_threads(n: int | None):
+    """Run the block with numpy's OpenBLAS at ``n`` threads, then restore it.
+
+    Yields the manifest record ``{"requested", "applied", "in_effect"}``.
+    Without ``n`` (or with n <= 0) nothing changes; ``applied`` is False
+    then, and also when numpy does not bundle OpenBLAS.  ``in_effect`` is
+    the count OpenBLAS reports inside the block (None if unknown).
+    """
+    blas = openblas()
+    record = {"requested": n, "applied": False,
+              "in_effect": None if blas is None else blas[0]()}
+    if blas is None or not n or n <= 0:
+        yield record
+        return
+    get, set_ = blas
+    previous = get()
+    set_(n)
+    record.update(applied=True, in_effect=get())
+    try:
+        yield record
+    finally:
+        set_(previous)
+
+
 def train(store: ParameterStore, batch_losses, steps: int, lr: float,
           log_every: int, meta: dict) -> TrainResult:
     """Adam on ``store`` for ``steps`` fresh minibatches.
@@ -963,30 +1012,35 @@ def train(store: ParameterStore, batch_losses, steps: int, lr: float,
     non-finite loss or gradient raises TrainingDivergedError carrying the
     last checkpoint (the initial store, then one every CHECKPOINT_EVERY
     steps) and the log so far.
-    ``meta`` gains the buffer pool's takes and fresh allocations of the call.
+    The steps run with OpenBLAS at one thread, restored afterwards, so the
+    weights do not depend on the machine's thread count.  ``meta`` gains
+    that thread record (``blas_threads``) and the buffer pool's takes and
+    fresh allocations of the call.
     """
     log: list = []
     checkpoint = store.clone()
     pool_start = POOL.counts()
     t_start = time.perf_counter()
-    for step in range(steps):
-        store.zero_grad()
-        try:
-            loss, terms = batch_losses()
-            if not np.isfinite(loss.data):
-                raise TrainingDivergedError(f"non-finite loss at step {step + 1}")
-            backward(loss)
-            adam_step(store, store.gradients(), lr=lr)
-        except TrainingDivergedError as err:
-            err.checkpoint = checkpoint
-            err.log = log
-            raise
-        if (step + 1) % log_every == 0 or step == 0:
-            log.append({"step": step + 1, "loss": float(loss.data),
-                        **{name: float(t.data) for name, t in terms.items()},
-                        "wall_time_s": time.perf_counter() - t_start})
-        if (step + 1) % CHECKPOINT_EVERY == 0:
-            checkpoint = store.clone()
+    with limit_threads(1) as blas_threads:
+        for step in range(steps):
+            store.zero_grad()
+            try:
+                loss, terms = batch_losses()
+                if not np.isfinite(loss.data):
+                    raise TrainingDivergedError(f"non-finite loss at step {step + 1}")
+                backward(loss)
+                adam_step(store, store.gradients(), lr=lr)
+            except TrainingDivergedError as err:
+                err.checkpoint = checkpoint
+                err.log = log
+                raise
+            if (step + 1) % log_every == 0 or step == 0:
+                log.append({"step": step + 1, "loss": float(loss.data),
+                            **{name: float(t.data) for name, t in terms.items()},
+                            "wall_time_s": time.perf_counter() - t_start})
+            if (step + 1) % CHECKPOINT_EVERY == 0:
+                checkpoint = store.clone()
+    meta["blas_threads"] = blas_threads
     meta["buffer_pool"] = {k: n - pool_start[k] for k, n in POOL.counts().items()}
     return TrainResult(store=store, log=log, meta=meta)
 

@@ -124,6 +124,20 @@ class TestDistance:
             total, _ = distance(a, b, std)
             assert abs(total - expected) < 1e-12
 
+    def test_batch_rows_are_single_rows(self):
+        # (B, q) statistics give (B,) totals and (B, q) parts; a (q,) row
+        # gives a float and the (q,) parts of that row, bit for bit
+        rng = np.random.default_rng(5)
+        std = Standardizer(center=rng.standard_normal(3),
+                           scale=rng.uniform(0.5, 2.0, 3), m=0, seed=0)
+        stats, s_obs = rng.standard_normal((7, 3)), rng.standard_normal(3)
+        totals, parts = distance(stats, s_obs, std)
+        assert totals.shape == (7,) and parts.shape == (7, 3)
+        for i in range(7):
+            total, part = distance(stats[i], s_obs, std)
+            assert isinstance(total, float) and total == totals[i]
+            assert np.array_equal(part, parts[i])
+
 
 class TestSabcHarness:
     def run_sabc(self, seed=11, budget=20_000, population=200):
@@ -209,8 +223,8 @@ class TestStagnationFlag:
 
 class TestProposalStreams:
     def test_first_sweep_matches_per_particle_streams(self):
-        # reference: the proposal of particle i in sweep 1 drawn from its own
-        # fresh stream(seed, PROPOSAL_TAG, 1, i)
+        # reference: particle i's proposal in sweep 1 is row i of the
+        # (population, p) standard-normal block of stream(seed, PROPOSAL_TAG, 1)
         seed, pop = 37, 50
         seen = {}
 
@@ -225,8 +239,8 @@ class TestProposalStreams:
         assert np.array_equal(init, sample_prior(HARNESS_PRIOR, stream(seed, 0), size=pop))
         scale = np.maximum(cfg.proposal_scale * np.std(init, axis=0),
                            1e-12 * HARNESS_PRIOR.ranges)
-        want = np.array([init[i] + stream(seed, PROPOSAL_TAG, 1, i).standard_normal(1) * scale
-                         for i in range(pop)])
+        block = stream(seed, PROPOSAL_TAG, 1).standard_normal((pop, 1))
+        want = np.array([init[i] + block[i] * scale for i in range(pop)])
         props, particles = seen[1]
         inbox = np.flatnonzero((want >= HARNESS_PRIOR.lower).all(axis=1)
                                & (want <= HARNESS_PRIOR.upper).all(axis=1))
@@ -235,21 +249,33 @@ class TestProposalStreams:
 
 
 class TestModelStatSim:
+    # ascending, non-contiguous particle ids, as in-box candidates are
+    PARTICLES = np.array([0, 2, 3, 7, 11, 40])
+
     @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
     def test_noise_matches_per_particle_streams(self, model_id):
-        # ascending, non-contiguous particle ids, as in-box candidates are
+        # reference: particle i simulates with row i of the sweep's noise block
         prior = prior_for(model_id)
-        particles = np.array([0, 2, 3, 7, 11, 40])
+        particles = self.PARTICLES
         thetas = sample_prior(prior, stream(8, 1), size=particles.size)
         seed, sweep, n = 29, 4, 60
         sim = _model_stat_sim(model_spec(model_id), lambda x, x0: x, seed, n)
-        noise = []
-        for pid in particles:
-            g = stream(seed, NOISE_TAG, sweep, int(pid))
-            noise.append(g.random((n, 2)) if model_id == "dynamo"
-                         else g.standard_normal((n, 1)))
-        want = simulate_batch(model_id, thetas, np.array(noise), x0=prior.x0)
+        g = stream(seed, NOISE_TAG, sweep)
+        shape = (particles[-1] + 1, n)
+        block = g.random((*shape, 2)) if model_id == "dynamo" else g.standard_normal((*shape, 1))
+        want = simulate_batch(model_id, thetas, block[particles], x0=prior.x0)
         assert np.array_equal(sim(thetas, sweep, particles), want)
+
+    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
+    def test_row_independent_of_other_candidates(self, model_id):
+        # a particle's noise row is the same whether it is simulated among a
+        # candidate subset or among all particles of the population
+        pop, seed, sweep, n = 64, 3, 2, 40
+        thetas = sample_prior(prior_for(model_id), stream(8, 2), size=pop)
+        sim = _model_stat_sim(model_spec(model_id), lambda x, x0: x, seed, n)
+        everyone = sim(thetas, sweep, np.arange(pop))
+        subset = self.PARTICLES
+        assert np.array_equal(sim(thetas[subset], sweep, subset), everyone[subset])
 
 
 class TestRejectionAbc:

@@ -374,6 +374,42 @@ class TestConfigFile:
             assert {key: hints[key] for key in KEYS[section]} == KEYS[section]
 
 
+class TestCountChecks:
+    """A count below its range is a usage error (exit 2) before numpy
+    allocates anything."""
+
+    CASES = {
+        "simulate_count_-1": ("simulate", ["--model", "nlar1", "--format", "bin",
+                                           "--count", "-1"], "--count = -1"),
+        "simulate_count_0": ("simulate", ["--model", "nlar1", "--format", "bin",
+                                          "--count", "0"], "--count = 0"),
+        "bifurcation_points_0": ("bifurcation", ["--points", "0"], "--points = 0"),
+        "bifurcation_points_-1": ("bifurcation", ["--points", "-1"], "--points = -1"),
+        "bifurcation_record_0": ("bifurcation", ["--record", "0"], "--record = 0"),
+        "bifurcation_record_-1": ("bifurcation", ["--record", "-1"], "--record = -1"),
+        "bifurcation_transient_-1": ("bifurcation", ["--transient", "-1"],
+                                     "--transient = -1"),
+        "diagnose_scatter_1": ("diagnose", ["--scatter", "1"], "--scatter = 1"),
+        "diagnose_scatter_-1": ("diagnose", ["--scatter", "-1"], "--scatter = -1"),
+    }
+    BASE = {"simulate": [],
+            "bifurcation": ["--model", "nlar1", "--alpha-min", "4.2", "--alpha-max", "5.3"],
+            "diagnose": ["--model", "nlar1"]}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_case(self, tmp_path, capsys, case):
+        command, flags, message = self.CASES[case]
+        argv = [command, *self.BASE[command], *flags, "--out", tmp_path / "out"]
+        if command == "diagnose":
+            weights = tmp_path / "w.sfwt"
+            save_weights(weights, init_encoder(3, np.random.default_rng(0)))
+            argv += ["--weights", weights]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSettingsChecks:
     """A flag given as 0 runs as 0; an unknown key, an uncastable value or an
     out-of-range setting is a usage error (exit 2) without a traceback."""
@@ -423,14 +459,14 @@ class TestSettingsChecks:
 
 
 class TestBlasThreads:
-    """--threads and the training commands cap numpy's OpenBLAS for the run,
-    restore it afterwards, and record what was in effect."""
+    """abc --threads and every training run cap numpy's OpenBLAS, restore it
+    afterwards, and record what was in effect."""
 
     @pytest.fixture
     def blas(self):
-        from statforge.cli import _openblas
+        from statforge.tensor import openblas
 
-        blas = _openblas()
+        blas = openblas()
         if blas is None:
             pytest.skip("numpy does not bundle OpenBLAS here")
         get, set_ = blas
@@ -440,24 +476,27 @@ class TestBlasThreads:
         set_(before)
 
     def test_training_runs_and_records_one_thread(self, tmp_path, monkeypatch, blas):
-        from statforge import inca
+        # the pin lives in tensor.train, so the CLI's manifest carries it
+        # in the training meta
+        from statforge import tensor
 
         seen = []
-        train = inca.train_inca
+        adam_step = tensor.adam_step
 
         def spy(*args, **kwargs):
             seen.append(blas[0]())
-            return train(*args, **kwargs)
+            return adam_step(*args, **kwargs)
 
-        monkeypatch.setattr(inca, "train_inca", spy)
+        monkeypatch.setattr(tensor, "adam_step", spy)
         out = tmp_path / "inca"
         assert run(["train-inca", "--model", "nlar1", "--q", "3", "--steps", "2",
                     "--theta-batch", "2", "--n-replicas", "2", "--n-steps", "40",
                     "--seed", "2", "--out", out]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["extra"]["blas_threads"] == {
+        assert manifest["config"]["blas_threads"] == {
             "requested": 1, "applied": True, "in_effect": 1}
-        assert seen == [1]
+        assert "blas_threads" not in manifest["extra"]
+        assert seen == [1, 1]
         assert blas[0]() == 2  # restored
 
     def test_abc_threads_flag(self, tmp_path, obs_dir, blas):

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +23,19 @@ from statforge.inca import (
     weight_fn_forward,
 )
 from statforge.models import stream
+
+# trains the 40-step INCA run and prints a digest of its weights and its
+# recorded BLAS thread count
+THREAD_RUN = """
+import hashlib, json
+from statforge.inca import IncaConfig, train_inca
+result = train_inca("nlar1", IncaConfig(q=3, n_replicas=5, theta_batch=12,
+                                        steps=40, seed=9, n_steps=100))
+digest = hashlib.sha256()
+for name, array in sorted(result.store.arrays().items()):
+    digest.update(name.encode() + array.tobytes())
+print(json.dumps([digest.hexdigest(), result.meta["blas_threads"]]))
+"""
 
 
 @pytest.fixture
@@ -192,6 +211,22 @@ class TestTraining:
         b = train_inca("nlar1", cfg)
         for name in a.store.names():
             assert np.array_equal(a.store[name].data, b.store[name].data)
+
+    def test_weights_independent_of_blas_threads(self):
+        # one process per OpenBLAS thread count; training pins one thread
+        src = str(Path(T.__file__).resolve().parent.parent)
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = subprocess.run([sys.executable, "-c", THREAD_RUN], env=env,
+                                 capture_output=True, text=True, check=True)
+            runs.append(json.loads(out.stdout))
+        assert runs[0][0] == runs[1][0]
+        if runs[0][1]["in_effect"] is not None:
+            assert runs[0][1] == runs[1][1] == {
+                "requested": 1, "applied": True, "in_effect": 1}
 
     def test_training_loss_matches_op_evaluation(self):
         # tensor-path loss equals the straight-line ops within 1e-12

@@ -34,7 +34,6 @@ from statforge.models import (
     log_likelihood_fn,
     model_spec,
     prior_for,
-    row_streams,
     sample_prior,
     save_trajectory_batch,
     simulate,
@@ -396,50 +395,10 @@ class TestLogLikelihoodFn:
             log_likelihood_fn(Trajectory(x=np.zeros(3), x0=0.0), "nope")
 
 
-class TestRowStreams:
-    """``row_streams`` must reproduce ``stream(seed, tag, sweep, row)`` exactly,
-    drawn the way the SABC sampler draws from it (in place, via ``out=``)."""
-
-    # ascending and not contiguous, as the sampler's in-box candidates are
-    ROWS = np.array([0, 1, 4, 5, 9, 63, 64, 999, 2**40])
-
-    def test_proposal_draws(self):
-        p = 3
-        z = np.empty((self.ROWS.size, p))
-        u = np.empty(self.ROWS.size)
-        for i, g in enumerate(row_streams(self.ROWS, 17, 1, 5)):
-            g.standard_normal(out=z[i])
-            u[i] = g.random()
-        for i, row in enumerate(self.ROWS):
-            g = stream(17, 1, 5, row)
-            assert np.array_equal(z[i], g.standard_normal(p))
-            assert u[i] == g.random()
-
-    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
-    def test_noise_draws(self, model_id):
-        n, c = 200, {"nlar1": 1, "dynamo": 2}[model_id]
-        noise = np.empty((self.ROWS.size, n, c))
-        for i, g in enumerate(row_streams(self.ROWS, 23, 2, 7)):
-            if model_id == "dynamo":
-                g.random(out=noise[i])
-            else:
-                g.standard_normal(out=noise[i])
-        for i, row in enumerate(self.ROWS):
-            g = stream(23, 2, 7, row)
-            want = g.random((n, c)) if model_id == "dynamo" else g.standard_normal((n, c))
-            assert np.array_equal(noise[i], want)
-
-    def test_row_after_partial_draw_starts_fresh(self):
-        # a row drawn from mid-block must not leak buffered output into the next
-        streams = row_streams([3, 4], 5, 1, 2)
-        next(streams).random(3)
-        assert np.array_equal(next(streams).random(4), stream(5, 1, 2, 4).random(4))
-
+class TestStream:
     def test_too_many_path_components(self):
         with pytest.raises(ValueError):
             stream(1, 2, 3, 4, 5)
-        with pytest.raises(ValueError):
-            next(row_streams([0], 1, 2, 3, 4))
 
 
 class TestPrior:
@@ -509,6 +468,12 @@ class TestOneStepMoments:
 
 
 class TestBifurcationSweep:
+    @pytest.mark.parametrize("n_transient, n_record", [(-1, 8), (10, 0), (10, -1)])
+    def test_out_of_range_counts(self, n_transient, n_record):
+        # n_transient = -1 used to leave the first recorded column unset
+        with pytest.raises(ValueError):
+            bifurcation_sweep("nlar1", [4.2], n_transient, n_record)
+
     def test_nlar1_zero_attractor(self):
         (pt,) = bifurcation_sweep("nlar1", [4.2], 500, 64, x0=0.01)
         assert np.all(np.abs(pt.values) < 1e-12)

@@ -1,10 +1,12 @@
 """On-disk cache for the desk-scale training runs of the acceptance suite.
 
 Training at the acceptance configurations takes tens of minutes; the weights
-are a pure function of (architecture, model, config, training code), so they
-are cached under tests/.acceptance_cache keyed by a hash of the config, the
-package version and the source of the modules that training runs.  Editing
-any of those modules therefore retrains instead of reusing stale weights.
+are a pure function of (architecture, model, config, training code, numpy
+and its BLAS thread count), so they are cached under tests/.acceptance_cache
+keyed by a hash of the config, the package version, the source of the
+modules that training runs, the numpy version and the BLAS thread count that
+training runs at.  Editing any of those modules therefore retrains instead of
+reusing stale weights.
 Delete the directory to force retraining.
 """
 
@@ -13,10 +15,12 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 import statforge
 from statforge.enca import EncaConfig, train_enca
 from statforge.inca import IncaConfig, train_inca
-from statforge.tensor import load_weights, save_weights
+from statforge.tensor import limit_threads, load_weights, save_weights
 
 CACHE_DIR = Path(__file__).resolve().parent / ".acceptance_cache"
 TRAINING_SOURCES = ("tensor.py", "encoder.py", "enca.py", "inca.py", "models.py")
@@ -28,9 +32,16 @@ def _source_digests() -> list:
             for name in TRAINING_SOURCES]
 
 
+def _training_blas_threads():
+    """The BLAS thread count `tensor.train` runs its steps at (None if unknown)."""
+    with limit_threads(1) as record:
+        return record["in_effect"]
+
+
 def _key(kind: str, model_id: str, cfg) -> str:
     blob = json.dumps([kind, model_id, asdict(cfg), statforge.__version__,
-                       _source_digests()], sort_keys=True)
+                       _source_digests(), np.__version__, _training_blas_threads()],
+                      sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
