@@ -32,7 +32,7 @@ noise = draw_bare_noise("nlar1", 50, 99)
 traj = simulate("nlar1", theta, noise)
 s = encode(traj, encoder_subset(result.store.arrays()))
 rec = enca_decode(s, noise, result.store.arrays())
-err = np.mean((rec.x_hat - traj.x) ** 2) / np.mean(traj.x**2)
+err = np.mean((rec - traj.x) ** 2) / np.mean(traj.x**2)
 print(f"\nheld-out trajectory: s = {np.round(s, 4)}")
 print(f"relative reconstruction MSE after 600 steps: {err:.3f} "
       "(tightens with longer training)")

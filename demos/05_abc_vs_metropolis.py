@@ -31,13 +31,13 @@ print(f"  kept {mc.m} draws, acceptance {rate:.2f}, "
 
 print("\nSimulated-annealing ABC with (alpha_hat, sigma2_hat, order), 2e4 sims...")
 cfg = AbcConfig(population=500, budget=20_000, velocity=0.3, seed=7, n_steps=200)
-sabc, record = sabc_run("nlar1", None, stats_fn_suffstats(), obs, cfg)
+sabc, _ = sabc_run("nlar1", None, stats_fn_suffstats(), obs, cfg)
 print(f"  sweeps={sabc.manifest['sweeps']}, final tolerance="
       f"{sabc.manifest['final_tolerance']:.3g}")
 print(f"  mean={np.round(sabc.draws.mean(axis=0), 4)}, "
       f"sd={np.round(sabc.draws.std(axis=0), 5)}")
 print(f"  99% distance quantiles per statistic: "
-      f"{np.round(distance_quantiles(record, 0.99), 3)}")
+      f"{np.round(distance_quantiles(sabc.component_distances, 0.99), 3)}")
 
 print("\nRejection-ABC baseline at the same budget (keep 2.5%)...")
 rej, _ = rejection_abc("nlar1", None, stats_fn_suffstats(), obs, n_sims=20_000,

@@ -83,19 +83,12 @@ class AbcConfig:
 
 
 @dataclass
-class DistanceRecord:
-    """Final per-particle distances plus the sampler traces."""
+class SweepTrace:
+    """Per-sweep acceptance rate and tolerance of an ABC run; rejection ABC
+    has no sweeps and leaves both empty."""
 
-    component: np.ndarray          # (m, q) absolute standardized differences
-    total: np.ndarray              # (m,)
     acceptance_trace: np.ndarray
     tolerance_trace: np.ndarray
-
-    def __post_init__(self):
-        self.component = np.atleast_2d(np.asarray(self.component, dtype=float))
-        self.total = np.asarray(self.total, dtype=float)
-        self.acceptance_trace = np.asarray(self.acceptance_trace, dtype=float)
-        self.tolerance_trace = np.asarray(self.tolerance_trace, dtype=float)
 
 
 def standardizer_from_stats(stats: np.ndarray, seed: int = 0) -> Standardizer:
@@ -249,9 +242,8 @@ def sabc_core(stat_sim, prior: PriorSpec, s_obs: np.ndarray, std: Standardizer,
                           RuntimeWarning)
             stagnated = True
             break
-    record = DistanceRecord(component=comp, total=dist,
-                            acceptance_trace=np.array(acceptance_trace),
-                            tolerance_trace=np.array(tolerance_trace))
+    trace = SweepTrace(acceptance_trace=np.array(acceptance_trace),
+                       tolerance_trace=np.array(tolerance_trace))
     manifest = {
         "method": "sabc",
         "config": asdict(cfg),
@@ -264,7 +256,7 @@ def sabc_core(stat_sim, prior: PriorSpec, s_obs: np.ndarray, std: Standardizer,
     }
     sample = SampleSet(draws=thetas, method="sabc", param_names=prior.names,
                        distances=dist, component_distances=comp, manifest=manifest)
-    return sample, record
+    return sample, trace
 
 
 def sabc_run(model, prior: PriorSpec | None, stats_fn,
@@ -319,7 +311,4 @@ def rejection_abc(model, prior: PriorSpec | None, stats_fn,
     sample = SampleSet(draws=thetas[order], method="rejection",
                        param_names=prior.names, distances=dist[order],
                        component_distances=comp[order], manifest=manifest)
-    record = DistanceRecord(component=comp[order], total=dist[order],
-                            acceptance_trace=np.array([]),
-                            tolerance_trace=np.array([]))
-    return sample, record
+    return sample, SweepTrace(acceptance_trace=np.array([]), tolerance_trace=np.array([]))

@@ -1,9 +1,15 @@
 """Single entry point wiring the library into reproducible experiment runs.
 
-Every subcommand writes its outputs plus exactly one manifest.json into the
-directory given by --out and nowhere else.  Run settings are merged once,
-by ``config.run_config``: dataclass defaults, then the --config file, then
-the flags given.  Exit codes: 0 success, 2 usage errors (unknown flags, a
+Every subcommand runs through ``_run``.  It loads and checks --config (for
+every subcommand), resolves the seed, runs the subcommand, and only when that
+returns creates --out and writes the subcommand's outputs plus exactly one
+manifest.json there and nowhere else.  A failed run therefore creates nothing
+under --out.  The manifest records the sha256 of every input file read, and
+the seed of every subcommand that takes --seed.  ``smoke`` runs its four
+steps through ``_run``, each into a directory under its --out; a failing step
+keeps the outputs of the steps before it.  Run settings are merged once, by
+``config.run_config``: dataclass defaults, then the --config file, then the
+flags given.  Exit codes: 0 success, 2 usage errors (unknown flags, a
 malformed config, an out-of-range setting, missing input files), 1 runtime
 failures.
 """
@@ -11,6 +17,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -29,29 +36,53 @@ from .models import (
     bifurcation_sweep,
     draw_bare_noise,
     draw_noise_batch,
-    save_trajectory_batch,
     simulate,
     simulate_batch,
     stream,
+    trajectory_batch_bytes,
     trajectory_from_csv,
     trajectory_to_csv,
 )
 from .samples import csv_text, sample_set_from_csv, sample_set_to_csv
 from .suffstats import stats_batch, stats_to_csv
-from .tensor import limit_threads, load_weights, save_weights
+from .tensor import limit_threads, load_weights, weights_bytes
 
 
-def _global_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+def _global_seed(args) -> int | None:
+    """--seed, else STATFORGE_SEED, else 0; None for a subcommand without --seed."""
+    if "seed" not in vars(args):
+        return None
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("STATFORGE_SEED")
     return int(env) if env else 0
 
 
-def _out_dir(args) -> Path:
+def _run(args):
+    """Run one subcommand: check --config, resolve the seed, call
+    ``args.func(args, cfg, seed, inputs)``, then write its files and the
+    manifest.
+
+    The subcommand records str(path) -> sha256 of each input file it reads in
+    ``inputs`` and returns ``(files, config, extra)``: its outputs (name ->
+    text or bytes) and the manifest's ``config`` and ``extra``.  Nothing is
+    written unless it returns.
+    """
+    cfg = cfgmod.load_config(args.config)
+    seed = _global_seed(args)
+    started = time.perf_counter()
+    inputs = {}
+    files, config, extra = args.func(args, cfg, seed, inputs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    for name, data in files.items():
+        if isinstance(data, bytes):
+            (out / name).write_bytes(data)
+        else:
+            (out / name).write_text(data)
+    cfgmod.write_manifest(out, command=args.command, config=config,
+                          seeds={} if seed is None else {"seed": seed},
+                          input_hashes=inputs, extra=extra, started=started)
 
 
 def _parse_theta(text: str) -> np.ndarray:
@@ -77,18 +108,20 @@ def _encoder_n_steps(cfg: dict, args) -> int:
     return n_steps
 
 
-def _existing(path, flag: str) -> Path:
-    """The file named by ``flag``; a missing one is a UsageError."""
+def _existing(path, flag: str, inputs: dict) -> Path:
+    """The file named by ``flag``, its hash recorded in ``inputs``; a missing
+    one is a UsageError."""
     if not Path(path).is_file():
         raise UsageError(f"{flag}: file not found: {path}")
+    inputs[str(path)] = cfgmod.sha256_of_file(path)
     return Path(path)
 
 
-def _read_trajectory(path, flag: str, min_steps: int = 1) -> Trajectory:
+def _read_trajectory(path, flag: str, inputs: dict, min_steps: int = 1) -> Trajectory:
     """Trajectory CSV named by ``flag``; a missing or malformed file, or one with
     fewer than ``min_steps`` steps after x0, is a UsageError."""
     try:
-        traj = trajectory_from_csv(_existing(path, flag).read_text())
+        traj = trajectory_from_csv(_existing(path, flag, inputs).read_text())
     except ValueError as err:
         raise UsageError(f"{flag}: {path}: {err}") from err
     if traj.n_steps < min_steps:
@@ -97,32 +130,28 @@ def _read_trajectory(path, flag: str, min_steps: int = 1) -> Trajectory:
     return traj
 
 
-def _read_samples(path, flag: str):
+def _read_samples(path, flag: str, inputs: dict):
     """Sample CSV named by ``flag``; a missing or malformed file is a UsageError."""
     try:
-        return sample_set_from_csv(_existing(path, flag).read_text())
+        return sample_set_from_csv(_existing(path, flag, inputs).read_text())
     except (ValueError, IndexError) as err:
         raise UsageError(f"{flag}: {path}: not a sample CSV ({err})") from err
 
 
-def _encoder_weights(path) -> dict:
+def _encoder_weights(path, inputs: dict) -> dict:
     """The encoder part of the --weights container; a missing flag or file
     is a UsageError."""
     if path is None:
         raise UsageError("--weights is required for this subcommand")
-    return encoder_subset(load_weights(_existing(path, "--weights"))[0])
+    return encoder_subset(load_weights(_existing(path, "--weights", inputs))[0])
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: (args, checked config, seed, inputs) -> (files, manifest config, extra)
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    started = time.perf_counter()
+def cmd_simulate(args, cfg, seed, inputs):
     _at_least(args.count, 1, "--count")
-    cfg = cfgmod.load_config(args.config)
-    out = _out_dir(args)
-    seed = _global_seed(args)
     spec = cfgmod.model_spec_from_config(cfg, args.model)
     theta = _parse_theta(args.theta) if args.theta else spec.true_theta
     n_steps = cfgmod.n_steps_setting(cfg, args.n_steps)
@@ -132,28 +161,21 @@ def cmd_simulate(args) -> int:
     if args.format == "csv":
         noise = draw_bare_noise(spec, n_steps, seed)
         traj = simulate(spec, theta, noise, x0=x0, n_steps=n_steps)
-        (out / "trajectory.csv").write_text(trajectory_to_csv(traj))
+        files = {"trajectory.csv": trajectory_to_csv(traj)}
     else:
         rng = stream(seed, 0x51)
         noise = draw_noise_batch(spec, args.count, n_steps, rng)
         x = simulate_batch(spec, np.tile(theta, (args.count, 1)), noise, x0=x0)
-        save_trajectory_batch(out / "trajectories.traj", x, x0=x0)
-    cfgmod.write_manifest(
-        out, command="simulate", config={"model": spec.id, "theta": theta.tolist(),
-                                         "n_steps": n_steps, "x0": x0,
-                                         "format": args.format, "count": args.count,
-                                         "model_spec": spec.record()},
-        seeds={"seed": seed}, started=started)
-    return 0
+        files = {"trajectories.traj": trajectory_batch_bytes(x, x0)}
+    return files, {"model": spec.id, "theta": theta.tolist(), "n_steps": n_steps,
+                   "x0": x0, "format": args.format, "count": args.count,
+                   "model_spec": spec.record()}, {}
 
 
-def cmd_bifurcation(args) -> int:
-    started = time.perf_counter()
+def cmd_bifurcation(args, cfg, seed, inputs):
     _at_least(args.points, 1, "--points")
     _at_least(args.transient, 0, "--transient")
     _at_least(args.record, 1, "--record")
-    cfg = cfgmod.load_config(args.config)
-    out = _out_dir(args)
     spec = cfgmod.model_spec_from_config(cfg, args.model)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.points)
     x0_list = [float(v) for v in args.x0.split(",")] if args.x0 else [None]
@@ -167,87 +189,53 @@ def cmd_bifurcation(args) -> int:
             if pt.diverged:
                 rows.append((pt.alpha, x0, float("nan"), 1))
     # a sweep without --x0 leaves the x0 cells empty
-    (out / "bifurcation.csv").write_text(
-        csv_text(["alpha", "x0", "value", "diverged"], rows))
-    cfgmod.write_manifest(
-        out, command="bifurcation",
-        config={"model": args.model, "alpha_min": args.alpha_min,
-                "alpha_max": args.alpha_max, "points": args.points,
-                "transient": args.transient, "record": args.record,
-                "x0": args.x0, "model_spec": spec.record()},
-        seeds={}, started=started)
-    return 0
+    files = {"bifurcation.csv": csv_text(["alpha", "x0", "value", "diverged"], rows)}
+    return files, {"model": args.model, "alpha_min": args.alpha_min,
+                   "alpha_max": args.alpha_max, "points": args.points,
+                   "transient": args.transient, "record": args.record,
+                   "x0": args.x0, "model_spec": spec.record()}, {}
 
 
-def cmd_suffstats(args) -> int:
-    started = time.perf_counter()
-    out = _out_dir(args)
+def cmd_suffstats(args, cfg, seed, inputs):
     rows = []
-    hashes = {}
     for path in args.input:
-        traj = _read_trajectory(path, "--input")
+        traj = _read_trajectory(path, "--input", inputs)
         rows.append(stats_batch(traj.x[None, :], traj.x0)[0])
-        hashes[str(path)] = cfgmod.sha256_of_file(path)
-    (out / "suffstats.csv").write_text(stats_to_csv(np.array(rows)))
-    cfgmod.write_manifest(out, command="suffstats", config={"inputs": list(map(str, args.input))},
-                          seeds={}, input_hashes=hashes, started=started)
-    return 0
+    return ({"suffstats.csv": stats_to_csv(np.array(rows))},
+            {"inputs": list(map(str, args.input))}, {})
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, cfg, seed, inputs):
     """train-enca / train-inca with the [enca] or [inca] settings."""
-    started = time.perf_counter()
-    cfg = cfgmod.load_config(args.config)
-    out = _out_dir(args)
     spec = cfgmod.model_spec_from_config(cfg, args.model)
     section = args.command.removeprefix("train-")
     cls, train = ((enca_mod.EncaConfig, enca_mod.train_enca) if section == "enca"
                   else (inca_mod.IncaConfig, inca_mod.train_inca))
-    train_cfg = cfgmod.run_config(
-        cls, cfg, section, args, seed=_global_seed(args),
-        n_steps=_encoder_n_steps(cfg, args))
+    train_cfg = cfgmod.run_config(cls, cfg, section, args, seed=seed,
+                                  n_steps=_encoder_n_steps(cfg, args))
     result = train(spec, train_cfg)
-    weights_path = out / "weights.sfwt"
-    save_weights(weights_path, result.store, meta=result.meta)
-    with open(out / "train_log.jsonl", "w") as fh:
-        for row in result.log:
-            fh.write(json.dumps(row) + "\n")
-    cfgmod.write_manifest(
-        out, command=args.command, config=result.meta,
-        seeds={"seed": train_cfg.seed},
-        extra={"weights_sha256": cfgmod.sha256_of_file(weights_path),
-               "final_loss": result.log[-1]["loss"] if result.log else None},
-        started=started)
-    return 0
+    weights = weights_bytes(result.store, meta=result.meta)
+    files = {"weights.sfwt": weights,
+             "train_log.jsonl": "".join(json.dumps(row) + "\n" for row in result.log)}
+    return files, result.meta, {
+        "weights_sha256": hashlib.sha256(weights).hexdigest(),
+        "final_loss": result.log[-1]["loss"] if result.log else None}
 
 
-def cmd_encode(args) -> int:
-    started = time.perf_counter()
-    out = _out_dir(args)
-    weights = _encoder_weights(args.weights)
-    rows = []
-    hashes = {str(args.weights): cfgmod.sha256_of_file(args.weights)}
-    for path in args.input:
-        traj = _read_trajectory(path, "--input", min_steps=MIN_INPUT_LENGTH)
-        rows.append(encode(traj, weights))
-        hashes[str(path)] = cfgmod.sha256_of_file(path)
+def cmd_encode(args, cfg, seed, inputs):
+    weights = _encoder_weights(args.weights, inputs)
+    trajs = [_read_trajectory(path, "--input", inputs, min_steps=MIN_INPUT_LENGTH)
+             for path in args.input]
+    rows = [encode(traj, weights) for traj in trajs]
     q = infer_q(weights)
-    (out / "stats.csv").write_text(csv_text([f"s{i + 1}" for i in range(q)], rows))
-    cfgmod.write_manifest(out, command="encode", config={"q": q},
-                          seeds={}, input_hashes=hashes, started=started)
-    return 0
+    return {"stats.csv": csv_text([f"s{i + 1}" for i in range(q)], rows)}, {"q": q}, {}
 
 
-def cmd_abc(args) -> int:
-    started = time.perf_counter()
-    cfg = cfgmod.load_config(args.config)
-    out = _out_dir(args)
-    seed = _global_seed(args)
+def cmd_abc(args, cfg, seed, inputs):
     spec = cfgmod.model_spec_from_config(cfg, args.model)
     observation = _read_trajectory(
-        args.observation, "--observation",
+        args.observation, "--observation", inputs,
         min_steps=1 if args.stats == "suffstats" else MIN_INPUT_LENGTH)
-    input_hashes = {str(args.observation): cfgmod.sha256_of_file(args.observation)}
     if args.stats == "suffstats":
         if not spec.has_suffstats:
             raise UsageError("--stats suffstats is only defined for nlar1")
@@ -255,132 +243,94 @@ def cmd_abc(args) -> int:
         stats_src = "suffstats"
         encoder_dtype = None
     else:
-        stats_fn = abcsampler.stats_fn_from_weights(_encoder_weights(args.weights))
+        stats_fn = abcsampler.stats_fn_from_weights(_encoder_weights(args.weights, inputs))
         stats_src = str(args.weights)
         encoder_dtype = np.dtype(abcsampler.ENCODER_DTYPE).name
-        input_hashes[str(args.weights)] = cfgmod.sha256_of_file(args.weights)
     if args.q is not None:
         stats_fn = abcsampler.stats_fn_subset(stats_fn, list(range(args.q)))
     run_cfg = cfgmod.run_config(abcsampler.AbcConfig, cfg, "abc", args,
                                 seed=seed, n_steps=observation.n_steps)
     with limit_threads(args.threads) as blas_threads:
         if args.sampler == "sabc":
-            sample, record = abcsampler.sabc_run(spec, None, stats_fn,
-                                                 observation, run_cfg)
+            sample, trace = abcsampler.sabc_run(spec, None, stats_fn,
+                                                observation, run_cfg)
         else:
             keep = max(run_cfg.population / run_cfg.budget, 1e-4)
-            sample, record = abcsampler.rejection_abc(
+            sample, trace = abcsampler.rejection_abc(
                 spec, None, stats_fn, observation, n_sims=run_cfg.budget,
                 keep_fraction=keep, seed=seed, n_steps=observation.n_steps)
-    (out / "samples.csv").write_text(sample_set_to_csv(sample))
     # sweep i's acceptance moved the tolerance from row i-1 to row i
-    acceptance = record.acceptance_trace
-    (out / "trace.csv").write_text(csv_text(
-        ["sweep", "acceptance", "tolerance"],
-        ((i, acceptance[i - 1] if i else "", tol)
-         for i, tol in enumerate(record.tolerance_trace))))
-    cfgmod.write_manifest(
-        out, command="abc",
-        config={"model": spec.id, "sampler": args.sampler,
-                "stats": stats_src, "q": args.q, "encoder_dtype": encoder_dtype,
-                "abc": sample.manifest, "model_spec": spec.record()},
-        seeds={"seed": seed}, input_hashes=input_hashes,
-        extra={"blas_threads": blas_threads}, started=started)
-    return 0
+    acceptance = trace.acceptance_trace
+    files = {"samples.csv": sample_set_to_csv(sample),
+             "trace.csv": csv_text(["sweep", "acceptance", "tolerance"],
+                                   ((i, acceptance[i - 1] if i else "", tol)
+                                    for i, tol in enumerate(trace.tolerance_trace)))}
+    config = {"model": spec.id, "sampler": args.sampler, "stats": stats_src, "q": args.q,
+              "encoder_dtype": encoder_dtype, "abc": sample.manifest,
+              "model_spec": spec.record()}
+    return files, config, {"blas_threads": blas_threads}
 
 
-def cmd_mcmc(args) -> int:
-    started = time.perf_counter()
-    cfg = cfgmod.load_config(args.config)
-    out = _out_dir(args)
-    seed = _global_seed(args)
+def cmd_mcmc(args, cfg, seed, inputs):
     spec = cfgmod.model_spec_from_config(cfg, args.model)
-    observation = _read_trajectory(args.observation, "--observation")
+    observation = _read_trajectory(args.observation, "--observation", inputs)
     run_cfg = cfgmod.run_config(mcmc_mod.McmcConfig, cfg, "mcmc", args, seed=seed)
     sample, rate = mcmc_mod.metropolis_run(spec, None, observation, run_cfg)
-    (out / "samples.csv").write_text(sample_set_to_csv(sample))
-    cfgmod.write_manifest(
-        out, command="mcmc",
-        config={"model": spec.id, "mcmc": sample.manifest,
-                "model_spec": spec.record()},
-        seeds={"seed": seed},
-        input_hashes={str(args.observation): cfgmod.sha256_of_file(args.observation)},
-        extra={"acceptance_rate": rate}, started=started)
-    return 0
+    return ({"samples.csv": sample_set_to_csv(sample)},
+            {"model": spec.id, "mcmc": sample.manifest, "model_spec": spec.record()},
+            {"acceptance_rate": rate})
 
 
-def cmd_diagnose(args) -> int:
-    started = time.perf_counter()
+def cmd_diagnose(args, cfg, seed, inputs):
     if (args.posterior is None) != (args.reference is None):
         raise UsageError("diagnose: --posterior and --reference go together; "
                          "pass both or neither")
     if args.scatter is not None:
         _at_least(args.scatter, 2, "--scatter")
-    cfg = cfgmod.load_config(args.config)
     spec = cfgmod.model_spec_from_config(cfg, args.model or "nlar1")
-    out = _out_dir(args)
-    extra = {}
-    input_hashes = {}
+    files, extra = {}, {}
     if args.posterior is not None:
-        a = _read_samples(args.posterior, "--posterior")
-        b = _read_samples(args.reference, "--reference")
+        a = _read_samples(args.posterior, "--posterior", inputs)
+        b = _read_samples(args.reference, "--reference", inputs)
         if a.p != b.p:
             raise UsageError(f"--posterior has {a.p} parameters, --reference {b.p}")
         if args.model:
             raw, normed = diagnostics.marginal_wasserstein(a, b, spec.prior)
         else:
             raw, normed = diagnostics.marginal_wasserstein(a, b), None
-        (out / "wasserstein.csv").write_text(csv_text(
+        files["wasserstein.csv"] = csv_text(
             ["component", "w1", "w1_normalized"],
-            ([j + 1, raw[j], "" if normed is None else normed[j]] for j in range(len(raw)))))
+            ([j + 1, raw[j], "" if normed is None else normed[j]] for j in range(len(raw))))
         extra["wasserstein_total"] = float(np.sum(raw))
-        input_hashes[args.posterior] = cfgmod.sha256_of_file(args.posterior)
-        input_hashes[args.reference] = cfgmod.sha256_of_file(args.reference)
     if args.distances:
-        ss = _read_samples(args.distances, "--distances")
-        if ss.component_distances is None:
+        comp = _read_samples(args.distances, "--distances", inputs).component_distances
+        if comp is None:
             raise UsageError("--distances: file has no dist_* columns")
-        record = abcsampler.DistanceRecord(
-            component=ss.component_distances,
-            total=ss.distances if ss.distances is not None
-            else ss.component_distances.sum(axis=1),
-            acceptance_trace=[], tolerance_trace=[])
-        quant = diagnostics.distance_quantiles(record, args.quantile,
+        quant = diagnostics.distance_quantiles(comp, args.quantile,
                                                n_regressors=args.regressors)
-        (out / "quantiles.csv").write_text(
-            csv_text(["component", "quantile"], enumerate(quant, start=1)))
-        tables = diagnostics.distance_histograms(record, bins=args.bins)
-        (out / "histograms.csv").write_text(diagnostics.histograms_to_csv(tables))
-        input_hashes[args.distances] = cfgmod.sha256_of_file(args.distances)
+        files["quantiles.csv"] = csv_text(["component", "quantile"],
+                                          enumerate(quant, start=1))
+        files["histograms.csv"] = diagnostics.histograms_to_csv(
+            diagnostics.distance_histograms(comp, bins=args.bins))
     if args.weights and args.scatter:
         n_steps = _encoder_n_steps(cfg, args)
-        weights = _encoder_weights(args.weights)
-        seed = _global_seed(args)
-        table = diagnostics.regression_scatter(weights, spec, m=args.scatter,
-                                               seed=seed, n_steps=n_steps)
-        (out / "regression.csv").write_text(diagnostics.regression_scatter_csv(table))
+        table = diagnostics.regression_scatter(_encoder_weights(args.weights, inputs), spec,
+                                               m=args.scatter, seed=seed, n_steps=n_steps)
+        files["regression.csv"] = diagnostics.regression_scatter_csv(table)
         extra["pearson"] = table["pearson"].tolist()
         if spec.has_suffstats:
-            latent = diagnostics.latent_scatter(weights, spec, m=args.scatter,
-                                                seed=seed, n_steps=n_steps)
-            (out / "latent.csv").write_text(diagnostics.latent_scatter_csv(latent))
-        input_hashes[args.weights] = cfgmod.sha256_of_file(args.weights)
-    if not input_hashes:
+            latent = diagnostics.latent_scatter(table, spec, seed=seed, n_steps=n_steps)
+            files["latent.csv"] = diagnostics.latent_scatter_csv(latent)
+    if not inputs:
         raise UsageError("diagnose: nothing to do; pass --posterior/--reference, "
                          "--distances, or --weights with --scatter")
-    cfgmod.write_manifest(out, command="diagnose",
-                          config={"quantile": args.quantile, "bins": args.bins,
-                                  "model_spec": spec.record()
-                                  if args.model or args.scatter else None},
-                          seeds={}, input_hashes=input_hashes, extra=extra,
-                          started=started)
-    return 0
+    return files, {"quantile": args.quantile, "bins": args.bins,
+                   "model_spec": spec.record() if args.model or args.scatter else None}, extra
 
 
-def cmd_smoke(args) -> int:
+def cmd_smoke(args):
     """Micro pipeline: simulate -> short ENCA training -> small ABC -> diagnose."""
-    started = time.perf_counter()
-    out = _out_dir(args)
+    out = Path(args.out)
     seed = _global_seed(args)
     n_steps = 50
     weights = out / "training" / "weights.sfwt"
@@ -399,14 +349,8 @@ def cmd_smoke(args) -> int:
     ]
     parser = build_parser()
     for argv in steps:
-        step = parser.parse_args([str(a) for a in argv + shared])
-        rc = step.func(step)
-        if rc:
-            return rc
-    cfgmod.write_manifest(out, command="smoke", config={"n_steps": n_steps},
-                          seeds={"seed": seed}, started=started)
-    print(f"smoke pipeline finished in {time.perf_counter() - started:.1f}s")
-    return 0
+        _run(parser.parse_args([str(a) for a in argv + shared]))
+    print(f"smoke pipeline finished; outputs under {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=None,
                    help="BLAS threads for the run (default: leave BLAS as it is)")
     common(p)
-    p.set_defaults(func=cmd_smoke)
 
     return parser
 
@@ -533,7 +476,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        (cmd_smoke if args.command == "smoke" else _run)(args)
+        return 0
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 
 from .encoder import encode_batch
+from .mcmc import average_ranks
 from .models import (
     DEFAULT_N_STEPS,
     PriorSpec,
@@ -58,10 +59,11 @@ def marginal_wasserstein(a, b, prior: PriorSpec | None = None):
     return raw, raw / prior.ranges
 
 
-def distance_quantiles(record, p_quantile: float = 0.99,
+def distance_quantiles(component, p_quantile: float = 0.99,
                        n_regressors: int | None = None) -> np.ndarray:
-    """Nearest-rank quantile of per-particle distances, regressor components only."""
-    comp = np.atleast_2d(np.asarray(record.component, dtype=float))
+    """Nearest-rank quantile of the (m, q) per-particle component distances,
+    regressor components only."""
+    comp = np.atleast_2d(np.asarray(component, dtype=float))
     if comp.shape[0] == 0:
         raise ValueError("empty distance record")
     if n_regressors is not None:
@@ -71,12 +73,13 @@ def distance_quantiles(record, p_quantile: float = 0.99,
     return np.sort(comp, axis=0)[rank - 1]
 
 
-def distance_histograms(record, bins: int = 30, n_components: int | None = None):
-    """Fixed-width histograms of final distances, one table per component.
+def distance_histograms(component, bins: int = 30, n_components: int | None = None):
+    """Fixed-width histograms of the (m, q) final component distances, one
+    table per component.
 
     Returns a list of dicts with keys component, edges (bins+1), counts (bins).
     """
-    comp = np.atleast_2d(np.asarray(record.component, dtype=float))
+    comp = np.atleast_2d(np.asarray(component, dtype=float))
     if n_components is not None:
         comp = comp[:, :n_components]
     tables = []
@@ -108,29 +111,14 @@ def pearson(a, b) -> float:
 
 
 def auc_score(scores, labels) -> float:
-    """Mann-Whitney AUC of scores against binary labels."""
+    """Mann-Whitney AUC of scores against binary labels; a tie counts 1/2."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels, dtype=bool)
     pos = scores[labels]
     neg = scores[~labels]
     if pos.size == 0 or neg.size == 0:
         raise ValueError("need both classes for AUC")
-    order = np.argsort(np.concatenate([neg, pos]), kind="mergesort")
-    ranks = np.empty(order.size)
-    ranks[order] = np.arange(1, order.size + 1)
-    # midranks for ties
-    allv = np.concatenate([neg, pos])
-    sorted_v = allv[order]
-    i = 0
-    while i < sorted_v.size:
-        j = i
-        while j + 1 < sorted_v.size and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        if j > i:
-            mid = 0.5 * (i + 1 + j + 1)
-            ranks[order[i:j + 1]] = mid
-        i = j + 1
-    rank_pos = ranks[neg.size:].sum()
+    rank_pos = average_ranks(np.concatenate([neg, pos]))[neg.size:].sum()
     u_stat = rank_pos - pos.size * (pos.size + 1) / 2.0
     return float(u_stat / (pos.size * neg.size))
 
@@ -139,7 +127,7 @@ def auc_score(scores, labels) -> float:
 # figure-data tables
 # ---------------------------------------------------------------------------
 
-# stream tag of the prior batch; both scatters draw the same one for a seed
+# stream tag of the scatter tables' prior batch
 _SCATTER_TAG = 0xD1A
 
 
@@ -189,9 +177,10 @@ def attractor_threshold(o_values: np.ndarray, min_gap_fraction: float = 0.2):
     return float(0.5 * (o[k] + o[k + 1]))
 
 
-def latent_scatter(weights, model, m: int, seed: int = 0, n_steps: int = DEFAULT_N_STEPS,
+def latent_scatter(table, model, seed: int = 0, n_steps: int = DEFAULT_N_STEPS,
                    pilot: int = 1000):
-    """Latent statistics with attractor labels (nlar1 only).
+    """Latent statistics of a ``regression_scatter`` table with attractor
+    labels (nlar1 only); ``seed`` and ``n_steps`` are the table's.
 
     The label threshold comes from the bimodal gap of the order parameter in
     a pilot run at the true parameter values; a unimodal pilot skips labeling
@@ -205,19 +194,16 @@ def latent_scatter(weights, model, m: int, seed: int = 0, n_steps: int = DEFAULT
     noise = draw_noise_batch(spec, pilot, n_steps, rng)
     xp = simulate_batch(spec, np.tile(spec.true_theta, (pilot, 1)), noise,
                         x0=prior.x0)
-    o_pilot = stats_batch(xp, prior.x0)[:, 2]
-    tau = attractor_threshold(o_pilot)
-    thetas, _, x = prior_predictive(spec, m, n_steps, stream(seed, _SCATTER_TAG))
-    stats = encode_batch(x, weights)
-    order = stats_batch(x, prior.x0)[:, 2]
+    tau = attractor_threshold(stats_batch(xp, prior.x0)[:, 2])
+    order = table["suffstats"][:, 2]
     if tau is None:
         warnings.warn("order-parameter pilot looks unimodal; labels skipped",
                       RuntimeWarning)
         labels = None
     else:
         labels = (order > tau).astype(int)
-    return {"stats": stats, "order": order, "labels": labels, "tau": tau,
-            "theta": thetas}
+    return {"stats": table["stats"], "order": order, "labels": labels, "tau": tau,
+            "theta": table["theta"]}
 
 
 def latent_scatter_csv(table) -> str:

@@ -42,14 +42,6 @@ class EncaConfig:
             raise ValueError("steps must be >= 0")
 
 
-@dataclass
-class Reconstruction:
-    x_hat: np.ndarray
-
-    def __post_init__(self):
-        self.x_hat = np.asarray(self.x_hat, dtype=float)
-
-
 def _init_bilstm(store: T.ParameterStore, prefix: str, c_in: int, units: int,
                  rng: np.random.Generator):
     for tag in ("f", "b"):
@@ -99,11 +91,10 @@ def decode_forward(weights, s, noise: np.ndarray):
     return T.reshape(y, y.shape[:-1])
 
 
-def enca_decode(s, noise: BareNoise, weights) -> Reconstruction:
-    """Reconstruct one trajectory from its statistics and bare noise."""
+def enca_decode(s, noise: BareNoise, weights) -> np.ndarray:
+    """Reconstruct one trajectory (N,) from its statistics and bare noise."""
     s = np.asarray(s, dtype=float)
-    x_hat = decode_forward(weights, T.Tensor(s[None, :]), noise.channels[None]).data[0]
-    return Reconstruction(x_hat=x_hat)
+    return decode_forward(weights, T.Tensor(s[None, :]), noise.channels[None]).data[0]
 
 
 def estimate_cx(model, n_pilot: int = 10_000, n_steps: int = DEFAULT_N_STEPS,

@@ -16,7 +16,7 @@ class SimulationDivergedError(StatforgeError):
         self.value = value
         msg = f"simulation diverged at step {step}"
         if value is not None:
-            msg += f" (x={value!r})"
+            msg += f" (x={float(value)!r})"
         super().__init__(msg)
 
 

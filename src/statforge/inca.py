@@ -58,14 +58,6 @@ class IncaConfig:
             raise ValueError("steps must be >= 0")
 
 
-@dataclass
-class AggregatedEstimate:
-    theta_hat: np.ndarray
-
-    def __post_init__(self):
-        self.theta_hat = np.asarray(self.theta_hat, dtype=float)
-
-
 def init_inca(model, q: int, rng: np.random.Generator) -> T.ParameterStore:
     store = init_encoder(q, rng)
     d_in = q - model_spec(model).prior.dim
@@ -101,8 +93,8 @@ def _canonical_order(stats: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def aggregate(stats, w, p: int) -> AggregatedEstimate:
-    """Weighted replica average of the first p statistics, Σ w_j s_j / Σ w_j."""
+def aggregate(stats, w, p: int) -> np.ndarray:
+    """Weighted replica average (p,) of the first p statistics, Σ w_j s_j / Σ w_j."""
     stats = np.atleast_2d(np.asarray(stats, dtype=float))
     w = np.asarray(w, dtype=float)
     order = _canonical_order(stats, w)
@@ -111,13 +103,13 @@ def aggregate(stats, w, p: int) -> AggregatedEstimate:
     if total < 1e-300:
         raise StatforgeError("degenerate replica weights: sum underflows")
     num = np.sum(ws[:, None] * stats[order, :p], axis=0)
-    return AggregatedEstimate(theta_hat=num / total)
+    return num / total
 
 
 def inca_loss(stats, theta_hat, theta) -> float:
     """Replica regression residuals plus aggregate residual (relative errors)."""
     stats = np.atleast_2d(np.asarray(stats, dtype=float))
-    theta_hat = np.asarray(getattr(theta_hat, "theta_hat", theta_hat), dtype=float)
+    theta_hat = np.asarray(theta_hat, dtype=float)
     theta = np.asarray(theta, dtype=float)
     p = theta.shape[0]
     rel = (stats[:, :p] - theta) / theta
@@ -182,4 +174,4 @@ def predict_theta(weights, x_replicas: np.ndarray, p: int) -> np.ndarray:
     """Aggregated estimate for one replica set (n, N) of trajectories."""
     stats = encode_batch(x_replicas, weights)
     w = weight_fn(stats[:, p:], weights)
-    return aggregate(stats, w, p).theta_hat
+    return aggregate(stats, w, p)

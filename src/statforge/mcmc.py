@@ -27,7 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import DegenerateLikelihoodError
-from .models import PriorSpec, Trajectory, log_likelihood_fn, model_spec, stream
+from .models import PriorSpec, Trajectory, log_likelihood_fn, model_spec, sample_prior, stream
 from .samples import SampleSet
 
 RHAT_WARN = 1.01        # R-hat above this raises a RuntimeWarning
@@ -75,7 +75,7 @@ def metropolis_accept(log_ratio, u):
 def _start(loglik, prior: PriorSpec, rng) -> tuple[np.ndarray, float]:
     """A prior draw with a finite likelihood, and that likelihood."""
     for _ in range(START_TRIES):
-        theta = prior.lower + rng.random(prior.dim) * prior.ranges
+        theta = sample_prior(prior, rng)
         ll = loglik(theta)
         if np.isfinite(ll):
             return theta, ll
@@ -182,20 +182,25 @@ def _split(chains: np.ndarray) -> np.ndarray:
     return np.concatenate([chains[:, :half], chains[:, chains.shape[1] - half:]])
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of the flattened ``values``, ties given their average rank."""
+    flat = np.ravel(values)
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], flat.size] - 1
+    ranks = np.empty(flat.size)
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
+    return ranks
+
+
 def _rank_normalize(chains: np.ndarray) -> np.ndarray:
     """Normal scores of the pooled ranks, ties given their average rank."""
     # imported here: scipy.special takes most of `import statforge`'s time
     from scipy.special import ndtri
 
-    flat = chains.ravel()
-    order = np.argsort(flat, kind="stable")
-    ordered = flat[order]
-    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    last = np.r_[first[1:], flat.size] - 1
-    tie_rank = (first + last) / 2.0 + 1.0           # 1-based average rank
-    ranks = np.empty(flat.size)
-    ranks[order] = np.repeat(tie_rank, last - first + 1)
-    return ndtri((ranks - 0.375) / (flat.size + 0.25)).reshape(chains.shape)
+    ranks = average_ranks(chains)
+    return ndtri((ranks - 0.375) / (chains.size + 0.25)).reshape(chains.shape)
 
 
 def _variances(chains: np.ndarray) -> tuple[float, float]:

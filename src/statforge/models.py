@@ -595,13 +595,17 @@ def trajectory_from_csv(text: str) -> Trajectory:
     return Trajectory(x=np.array(values[1:]), x0=values[0])
 
 
-def save_trajectory_batch(path, x: np.ndarray, x0: float):
+def trajectory_batch_bytes(x: np.ndarray, x0: float) -> bytes:
     """Binary batch: 8-byte magic, u64 version/B/N, f8 x0, then row-major f8."""
     x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype="<f8")))
+    header = struct.pack("<QQQd", 1, x.shape[0], x.shape[1], float(x0))
+    return _TRAJ_MAGIC + header + x.tobytes()
+
+
+def save_trajectory_batch(path, x: np.ndarray, x0: float):
+    """Write ``trajectory_batch_bytes(x, x0)`` to ``path``."""
     with open(path, "wb") as fh:
-        fh.write(_TRAJ_MAGIC)
-        fh.write(struct.pack("<QQQd", 1, x.shape[0], x.shape[1], float(x0)))
-        fh.write(x.tobytes())
+        fh.write(trajectory_batch_bytes(x, x0))
 
 
 def load_trajectory_batch(path):

@@ -1052,7 +1052,7 @@ def count_parameters(weights) -> int:
     return int(sum(np.asarray(a).size for a in weights.values()))
 
 
-def save_weights(path, weights, meta: dict | None = None):
+def weights_bytes(weights, meta: dict | None = None) -> bytes:
     """Versioned container: JSON header then flat little-endian f8 blobs.
 
     The header records entry names and shapes in order; blob bytes follow in
@@ -1068,12 +1068,15 @@ def save_weights(path, weights, meta: dict | None = None):
         "meta": meta or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return b"".join([_WEIGHTS_MAGIC, struct.pack("<Q", len(blob)), blob]
+                    + [np.ascontiguousarray(np.asarray(a, dtype="<f8")).tobytes()
+                       for a in arrays.values()])
+
+
+def save_weights(path, weights, meta: dict | None = None):
+    """Write ``weights_bytes(weights, meta)`` to ``path``."""
     with open(path, "wb") as fh:
-        fh.write(_WEIGHTS_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, a in arrays.items():
-            fh.write(np.ascontiguousarray(np.asarray(a, dtype="<f8")).tobytes())
+        fh.write(weights_bytes(weights, meta))
 
 
 def load_weights(path):

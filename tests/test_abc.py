@@ -7,7 +7,6 @@ from statforge.abcsampler import (
     NOISE_TAG,
     PROPOSAL_TAG,
     AbcConfig,
-    DistanceRecord,
     Standardizer,
     _model_stat_sim,
     distance,
@@ -358,7 +357,7 @@ class TestStatsFns:
         assert sample.m == 100
         assert np.all(sample.draws >= NLAR1_PRIOR.lower)
         assert np.all(sample.draws <= NLAR1_PRIOR.upper)
-        assert record.component.shape == (100, 3)
+        assert sample.component_distances.shape == (100, 3)
         assert np.all(np.diff(record.tolerance_trace) <= 1e-15)
 
 

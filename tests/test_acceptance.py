@@ -152,7 +152,7 @@ def test_criterion_02_shape_fidelity():
     inca_dec_ok = wnet_shapes == [(4, 5, 3), (4, 5, 10), (4, 5, 3), (4, 5, 1)]
     agg = aggregate(np.random.default_rng(2).random((5, 4)), np.full(5, 0.5), p=2)
     ok = enc_ok and inca_enc_ok and enca_dec_ok and inca_dec_ok \
-        and agg.theta_hat.shape == (2,)
+        and agg.shape == (2,)
     record(2, ok, "encoder/ENCA-decoder/INCA-decoder shapes match the "
                   "architecture tables exactly")
 
@@ -341,11 +341,11 @@ def test_criterion_09_inca_desk_scale():
     for i in range(20):
         stats = encode_batch(x[i], weights)
         w = weight_fn(stats[:, 2:], weights)
-        base = aggregate(stats, w, p=2).theta_hat
+        base = aggregate(stats, w, p=2)
         base_loss = inca_loss(stats, base, thetas[i])
         for _ in range(5):
             perm = prng.permutation(5)
-            if not np.array_equal(aggregate(stats[perm], w[perm], p=2).theta_hat,
+            if not np.array_equal(aggregate(stats[perm], w[perm], p=2),
                                   base):
                 perm_ok = False
             if inca_loss(stats[perm], base, thetas[i]) != base_loss:
@@ -355,7 +355,7 @@ def test_criterion_09_inca_desk_scale():
     for _ in range(10_000):
         st = prng.standard_normal((5, 3))
         w = prng.uniform(1e-6, 1.0, 5)
-        th = aggregate(st, w, p=2).theta_hat
+        th = aggregate(st, w, p=2)
         lo, hi = st[:, :2].min(axis=0), st[:, :2].max(axis=0)
         if np.any(th < lo - 1e-12) or np.any(th > hi + 1e-12):
             hull_ok = False
@@ -403,9 +403,9 @@ def test_criterion_11_statistic_count_trend_dynamo():
         weights = encoder_subset(cached_enca("dynamo", enca_dynamo_cfg(q)))
         cfg = AbcConfig(population=1000, budget=100_000, velocity=0.3,
                         seed=111, n_steps=100)
-        sample, rec = sabc_run("dynamo", None, stats_fn_from_weights(weights),
-                               obs, cfg)
-        quants = distance_quantiles(rec, 0.99, n_regressors=3)
+        sample, _ = sabc_run("dynamo", None, stats_fn_from_weights(weights),
+                             obs, cfg)
+        quants = distance_quantiles(sample.component_distances, 0.99, n_regressors=3)
         rows.append((q, quants))
         _, normed = marginal_wasserstein(sample, mc, DYNAMO_PRIOR)
         wsums[q] = float(np.sum(normed))

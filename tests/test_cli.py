@@ -14,7 +14,7 @@ from statforge.abcsampler import (
     stats_fn_from_weights,
 )
 from statforge.cli import main
-from statforge.config import KEYS, load_config, model_spec_from_config
+from statforge.config import KEYS, load_config, model_spec_from_config, sha256_of_file
 from statforge.enca import EncaConfig, train_enca
 from statforge.encoder import MIN_INPUT_LENGTH, encoder_subset, init_encoder
 from statforge.inca import IncaConfig
@@ -673,3 +673,57 @@ class TestManifestReproducibility:
                     "--n-steps", "30", "--out", out]) == 0
         entries = {p.name for p in tmp_path.iterdir()}
         assert entries == {"only_here"}
+
+
+class TestRunner:
+    """Every subcommand checks --config, a failed run creates nothing under
+    --out, and a seeded subcommand records its seed."""
+
+    BAD_INI = "[nope]\na = 1\n"
+    # (argv before --out, exit code, stderr fragment); OBS, SAMPLES, WEIGHTS
+    # and BAD_INI stand for files the test writes
+    CASES = {
+        "train_enca_short_n_steps": (["train-enca", "--model", "nlar1", "--n-steps", "10"],
+                                     2, "n_steps = 10 is too short for the encoder"),
+        "mcmc_chain_length_7": (["mcmc", "--model", "nlar1", "--observation", "OBS",
+                                 "--chain-length", "7"],
+                                2, "chain_length 7 is not a multiple of the 8 chains"),
+        "simulate_n_steps_-1": (["simulate", "--model", "nlar1", "--n-steps", "-1"],
+                                2, "n_steps = -1 is too short"),
+        "simulate_diverges": (["simulate", "--model", "nlar1", "--theta", "100,0.015"],
+                              1, "simulation diverged at step 3 (x=53699581914896.38)"),
+        "diagnose_no_dist_columns": (["diagnose", "--posterior", "SAMPLES", "--reference",
+                                      "SAMPLES", "--distances", "SAMPLES"],
+                                     2, "--distances: file has no dist_* columns"),
+        "encode_bad_config": (["encode", "--weights", "WEIGHTS", "--input", "OBS",
+                               "--config", "BAD_INI"], 2, "unknown section [nope]"),
+        "suffstats_bad_config": (["suffstats", "--input", "OBS", "--config", "BAD_INI"],
+                                 2, "unknown section [nope]"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_failed_run_creates_no_out(self, tmp_path, obs_dir, capsys, case):
+        files = {"OBS": obs_dir / "trajectory.csv", "SAMPLES": tmp_path / "samples.csv",
+                 "WEIGHTS": tmp_path / "w.sfwt", "BAD_INI": tmp_path / "bad.ini"}
+        files["SAMPLES"].write_text("alpha,sigma\n5.0,0.01\n5.1,0.02\n")
+        save_weights(files["WEIGHTS"], init_encoder(3, np.random.default_rng(0)))
+        files["BAD_INI"].write_text(self.BAD_INI)
+        argv, code, message = self.CASES[case]
+        assert run([files.get(a, a) for a in argv] + ["--out", tmp_path / "out"]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_diagnose_scatter_records_its_seed(self, tmp_path):
+        weights = tmp_path / "w.sfwt"
+        save_weights(weights, init_encoder(3, np.random.default_rng(0)))
+        hashes = set()
+        for seed in (9, 10):
+            out = tmp_path / f"d{seed}"
+            assert run(["diagnose", "--model", "nlar1", "--weights", weights, "--scatter", "20",
+                        "--n-steps", "30", "--seed", seed, "--out", out]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["seeds"] == {"seed": seed}
+            assert manifest["input_hashes"] == {str(weights): sha256_of_file(weights)}
+            hashes.add(manifest["config_hash"])
+        assert len(hashes) == 2

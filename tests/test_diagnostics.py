@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.stats import wasserstein_distance
 
-from statforge.abcsampler import DistanceRecord
 from statforge.diagnostics import (
     attractor_threshold,
     auc_score,
@@ -67,58 +66,46 @@ class TestWasserstein:
 
 
 class TestDistanceQuantiles:
-    def make_record(self, comp):
-        comp = np.asarray(comp, dtype=float)
-        return DistanceRecord(component=comp, total=np.sqrt((comp**2).sum(axis=1)),
-                              acceptance_trace=[], tolerance_trace=[])
-
     def test_constant(self):
-        rec = self.make_record(np.full((50, 2), 3.25))
+        rec = np.full((50, 2), 3.25)
         assert np.all(distance_quantiles(rec) == 3.25)
 
     def test_nearest_rank_1_to_100(self):
-        rec = self.make_record(np.arange(1.0, 101.0)[:, None])
+        rec = np.arange(1.0, 101.0)[:, None]
         assert distance_quantiles(rec, 0.99)[0] == 99.0
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(5)
         comp = rng.random((777, 3))
-        rec = self.make_record(comp)
-        got = distance_quantiles(rec, 0.97, n_regressors=3)
+        got = distance_quantiles(comp, 0.97, n_regressors=3)
         for j in range(3):
             s = np.sort(comp[:, j])
             assert got[j] == s[int(np.ceil(0.97 * 777)) - 1]
 
     def test_monotone_in_quantile(self):
-        rec = self.make_record(np.random.default_rng(6).random((300, 2)))
+        rec = np.random.default_rng(6).random((300, 2))
         qs = [distance_quantiles(rec, q)[0] for q in (0.5, 0.9, 0.99, 1.0)]
         assert np.all(np.diff(qs) >= 0)
 
     def test_regressor_restriction(self):
-        rec = self.make_record(np.random.default_rng(7).random((100, 5)))
+        rec = np.random.default_rng(7).random((100, 5))
         assert distance_quantiles(rec, 0.99, n_regressors=2).shape == (2,)
 
 
 class TestDistanceHistograms:
     def test_single_value_one_bin(self):
-        rec = DistanceRecord(component=np.full((20, 1), 0.7), total=np.full(20, 0.7),
-                             acceptance_trace=[], tolerance_trace=[])
-        (tab,) = distance_histograms(rec, bins=10)
+        (tab,) = distance_histograms(np.full((20, 1), 0.7), bins=10)
         assert tab["counts"].sum() == 20
         assert (tab["counts"] > 0).sum() == 1
 
     def test_counts_sum_to_particles(self):
         comp = np.random.default_rng(8).random((512, 3))
-        rec = DistanceRecord(component=comp, total=comp.sum(axis=1),
-                             acceptance_trace=[], tolerance_trace=[])
-        for tab in distance_histograms(rec, bins=13):
+        for tab in distance_histograms(comp, bins=13):
             assert tab["counts"].sum() == 512
 
     def test_matches_double_loop(self):
         comp = np.random.default_rng(9).random((97, 2))
-        rec = DistanceRecord(component=comp, total=comp.sum(axis=1),
-                             acceptance_trace=[], tolerance_trace=[])
-        tables = distance_histograms(rec, bins=7)
+        tables = distance_histograms(comp, bins=7)
         for j, tab in enumerate(tables):
             edges = tab["edges"]
             naive = np.zeros(7, dtype=int)
@@ -132,9 +119,7 @@ class TestDistanceHistograms:
 
     def test_csv_emission(self):
         comp = np.random.default_rng(10).random((50, 2))
-        rec = DistanceRecord(component=comp, total=comp.sum(axis=1),
-                             acceptance_trace=[], tolerance_trace=[])
-        text = histograms_to_csv(distance_histograms(rec, bins=5))
+        text = histograms_to_csv(distance_histograms(comp, bins=5))
         lines = text.strip().split("\n")
         assert lines[0] == "component,bin_lo,bin_hi,count"
         assert len(lines) == 1 + 2 * 5
@@ -164,6 +149,15 @@ class TestPearsonAuc:
         scores = rng.random(4000)
         labels = rng.random(4000) > 0.5
         assert abs(auc_score(scores, labels) - 0.5) < 0.03
+
+    def test_auc_with_ties_matches_pairwise_count(self):
+        rng = np.random.default_rng(14)
+        scores = rng.integers(0, 5, 300).astype(float)  # many ties
+        labels = rng.random(300) > 0.4
+        pos, neg = scores[labels], scores[~labels]
+        wins = sum(1.0 if a > b else 0.5 if a == b else 0.0 for a in pos for b in neg)
+        assert auc_score(scores, labels) == pytest.approx(wins / (pos.size * neg.size),
+                                                          rel=1e-12)
 
 
 class TestScatterTables:
@@ -200,8 +194,9 @@ class TestScatterTables:
 
     def test_latent_scatter_labels_both_classes(self):
         weights = init_encoder(3, np.random.default_rng(1)).arrays()
-        table = latent_scatter(weights, "nlar1", m=200, seed=3, n_steps=200,
-                               pilot=300)
+        table = latent_scatter(regression_scatter(weights, "nlar1", m=200, seed=3,
+                                                  n_steps=200),
+                               "nlar1", seed=3, n_steps=200, pilot=300)
         assert table["tau"] is not None
         labels = table["labels"]
         assert labels is not None
@@ -212,7 +207,7 @@ class TestScatterTables:
     def test_latent_scatter_rejects_dynamo(self):
         weights = init_encoder(3, np.random.default_rng(1)).arrays()
         with pytest.raises(ValueError):
-            latent_scatter(weights, "dynamo", m=10)
+            latent_scatter(regression_scatter(weights, "dynamo", m=10), "dynamo")
 
 
 class TestSampleSetCsv:

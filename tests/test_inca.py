@@ -97,14 +97,14 @@ class TestAggregate:
     def test_equal_weights_is_mean(self):
         stats = np.random.default_rng(0).random((5, 4))
         est = aggregate(stats, np.full(5, 0.3), p=2)
-        assert np.allclose(est.theta_hat, stats[:, :2].mean(axis=0), rtol=1e-12)
+        assert np.allclose(est, stats[:, :2].mean(axis=0), rtol=1e-12)
 
     def test_one_hot_limit(self):
         stats = np.random.default_rng(1).random((4, 3))
         w = np.full(4, 1e-12)
         w[2] = 1.0 - 1e-12
         est = aggregate(stats, w, p=2)
-        assert np.allclose(est.theta_hat, stats[2, :2], atol=1e-9)
+        assert np.allclose(est, stats[2, :2], atol=1e-9)
 
     def test_matches_independent_evaluation(self):
         rng = np.random.default_rng(5)
@@ -115,7 +115,7 @@ class TestAggregate:
             expected = np.array([
                 sum(w[j] * stats[j, a] for j in range(n)) / sum(w[j] for j in range(n))
                 for a in range(p)])
-            got = aggregate(stats, w, p=p).theta_hat
+            got = aggregate(stats, w, p=p)
             assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_convex_hull(self):
@@ -123,7 +123,7 @@ class TestAggregate:
         for _ in range(200):
             stats = rng.standard_normal((5, 3))
             w = rng.uniform(1e-3, 1.0, 5)
-            est = aggregate(stats, w, p=2).theta_hat
+            est = aggregate(stats, w, p=2)
             lo = stats[:, :2].min(axis=0)
             hi = stats[:, :2].max(axis=0)
             assert np.all(est >= lo - 1e-12) and np.all(est <= hi + 1e-12)
@@ -131,18 +131,18 @@ class TestAggregate:
     def test_weight_scaling_invariance(self):
         stats = np.random.default_rng(3).random((5, 3))
         w = np.random.default_rng(4).uniform(0.1, 0.9, 5)
-        a = aggregate(stats, w, p=2).theta_hat
-        b = aggregate(stats, 3.7 * w, p=2).theta_hat
+        a = aggregate(stats, w, p=2)
+        b = aggregate(stats, 3.7 * w, p=2)
         assert np.allclose(a, b, rtol=1e-13)
 
     def test_permutation_invariance_bit_exact(self):
         rng = np.random.default_rng(8)
         stats = rng.random((7, 4))
         w = rng.uniform(0.05, 0.95, 7)
-        base = aggregate(stats, w, p=2).theta_hat
+        base = aggregate(stats, w, p=2)
         for _ in range(10):
             perm = rng.permutation(7)
-            assert np.array_equal(aggregate(stats[perm], w[perm], p=2).theta_hat, base)
+            assert np.array_equal(aggregate(stats[perm], w[perm], p=2), base)
 
     def test_degenerate_weights_guard(self):
         stats = np.zeros((3, 3))
