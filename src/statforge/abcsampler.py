@@ -80,6 +80,10 @@ class AbcConfig:
             raise ValueError("population must be >= 10")
         if self.budget < self.population:
             raise ValueError("budget must cover at least the initial population")
+        if not self.velocity >= 0.0:
+            raise ValueError("velocity must be >= 0")
+        if not self.proposal_scale > 0.0:
+            raise ValueError("proposal_scale must be > 0")
 
 
 @dataclass

@@ -85,17 +85,19 @@ def _run(args):
                           input_hashes=inputs, extra=extra, started=started)
 
 
-def _parse_theta(text: str) -> np.ndarray:
+def _parse_floats(text: str, flag: str) -> np.ndarray:
+    """The comma-separated floats given to ``flag``; anything else is a UsageError."""
     try:
         return np.array([float(v) for v in text.split(",")])
     except ValueError as err:
-        raise UsageError(f"--theta: expected comma-separated floats, got {text!r}") from err
+        raise UsageError(f"{flag}: expected comma-separated floats, got {text!r}") from err
 
 
-def _at_least(value: int, lowest: int, flag: str):
-    """A ``flag`` value below ``lowest`` is a UsageError."""
-    if value < lowest:
-        raise UsageError(f"{flag} = {value} is out of range; at least {lowest} is needed")
+def _in_range(value: int, lowest: int, flag: str, highest: int | None = None):
+    """A ``flag`` value below ``lowest`` (or above ``highest``) is a UsageError."""
+    if value < lowest or (highest is not None and value > highest):
+        need = f"at least {lowest}" if highest is None else f"{lowest} to {highest}"
+        raise UsageError(f"{flag} = {value} is out of range; {need} is needed")
 
 
 def _encoder_n_steps(cfg: dict, args) -> int:
@@ -151,9 +153,9 @@ def _encoder_weights(path, inputs: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args, cfg, seed, inputs):
-    _at_least(args.count, 1, "--count")
+    _in_range(args.count, 1, "--count")
     spec = cfgmod.model_spec_from_config(cfg, args.model)
-    theta = _parse_theta(args.theta) if args.theta else spec.true_theta
+    theta = _parse_floats(args.theta, "--theta") if args.theta else spec.true_theta
     n_steps = cfgmod.n_steps_setting(cfg, args.n_steps)
     if n_steps < 1:
         raise UsageError(f"n_steps = {n_steps} is too short; at least 1 step is needed")
@@ -173,12 +175,12 @@ def cmd_simulate(args, cfg, seed, inputs):
 
 
 def cmd_bifurcation(args, cfg, seed, inputs):
-    _at_least(args.points, 1, "--points")
-    _at_least(args.transient, 0, "--transient")
-    _at_least(args.record, 1, "--record")
+    _in_range(args.points, 1, "--points")
+    _in_range(args.transient, 0, "--transient")
+    _in_range(args.record, 1, "--record")
     spec = cfgmod.model_spec_from_config(cfg, args.model)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.points)
-    x0_list = [float(v) for v in args.x0.split(",")] if args.x0 else [None]
+    x0_list = _parse_floats(args.x0, "--x0").tolist() if args.x0 else [None]
     rows = []
     for x0 in x0_list:
         points = bifurcation_sweep(spec, alphas, n_transient=args.transient,
@@ -242,11 +244,15 @@ def cmd_abc(args, cfg, seed, inputs):
         stats_fn = abcsampler.stats_fn_suffstats()
         stats_src = "suffstats"
         encoder_dtype = None
+        n_stats = 3   # (alpha_hat, sigma2_hat, order)
     else:
-        stats_fn = abcsampler.stats_fn_from_weights(_encoder_weights(args.weights, inputs))
+        weights = _encoder_weights(args.weights, inputs)
+        stats_fn = abcsampler.stats_fn_from_weights(weights)
         stats_src = str(args.weights)
         encoder_dtype = np.dtype(abcsampler.ENCODER_DTYPE).name
+        n_stats = infer_q(weights)
     if args.q is not None:
+        _in_range(args.q, 1, "--q", n_stats)
         stats_fn = abcsampler.stats_fn_subset(stats_fn, list(range(args.q)))
     run_cfg = cfgmod.run_config(abcsampler.AbcConfig, cfg, "abc", args,
                                 seed=seed, n_steps=observation.n_steps)
@@ -286,7 +292,10 @@ def cmd_diagnose(args, cfg, seed, inputs):
         raise UsageError("diagnose: --posterior and --reference go together; "
                          "pass both or neither")
     if args.scatter is not None:
-        _at_least(args.scatter, 2, "--scatter")
+        _in_range(args.scatter, 2, "--scatter")
+    _in_range(args.bins, 1, "--bins")
+    if not 0.0 < args.quantile <= 1.0:
+        raise UsageError(f"--quantile = {args.quantile} is out of range; (0, 1] is needed")
     spec = cfgmod.model_spec_from_config(cfg, args.model or "nlar1")
     files, extra = {}, {}
     if args.posterior is not None:
@@ -306,6 +315,8 @@ def cmd_diagnose(args, cfg, seed, inputs):
         comp = _read_samples(args.distances, "--distances", inputs).component_distances
         if comp is None:
             raise UsageError("--distances: file has no dist_* columns")
+        if args.regressors is not None:
+            _in_range(args.regressors, 1, "--regressors", comp.shape[1])
         quant = diagnostics.distance_quantiles(comp, args.quantile,
                                                n_regressors=args.regressors)
         files["quantiles.csv"] = csv_text(["component", "quantile"],

@@ -22,38 +22,21 @@ and named loss terms, runs `backward` and `adam_step`, and keeps the log,
 the checkpoint and the divergence check.  The autoencoder modules only say
 what a minibatch is and which loss it gives.
 
-Training steps draw their large arrays from one module-level buffer pool,
-`POOL`, and give them back once they are dead, so a step reuses the memory
-of the step before instead of having the kernel zero fresh pages.  Pooled
-are the conv im2col matrices (forward, and backward from the windows and
-from the zero-padded gradient), the input gradients of conv, BiLSTM and
-matmul, the relu and maxpool backward buffers, the gradients of
-intermediate nodes (given back as soon as their node's backward has run),
-the BiLSTM work buffers, and the outputs of the conv, relu, maxpool and
-BiLSTM nodes of a graph (given back when the node dies, unless something
-else still holds the array).  Inference, with
-nothing requiring gradients, allocates plainly: its row counts change from
-call to call, and pooled buffers of every size it meets would pile up.
-The pool serves a request from the smallest idle buffer that is large
-enough but at most 1.5 times the size, so a step's short-lived temporaries
-of different shapes share a few buffers.  The idle pool is bounded by
-`POOL_MAX_BYTES`, which holds one training step of either autoencoder at
-the acceptance configurations; past it the buffers of the least recently
-given sizes are dropped.  Pooling changes no arithmetic: outputs and
-gradients are bit-identical to plain allocation.  Training runs from one
-thread at a time, with numpy's OpenBLAS held at one thread (`limit_threads`)
-so that a fixed seed gives the same weights on any machine.
+Every op allocates plain numpy arrays.  So that a training step reuses
+the memory of the step before instead of having the kernel zero fresh
+pages, `train` first calls `keep_freed_memory`, which has glibc keep freed
+blocks in the process (a process-wide setting; elsewhere it does nothing).
+Training runs from one thread at a time, with numpy's OpenBLAS held at one
+thread (`limit_threads`) so that a fixed seed gives the same weights on any
+machine.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import functools
 import json
-import math
 import struct
-import sys
 import time
 from dataclasses import dataclass
 
@@ -72,7 +55,7 @@ _WEIGHTS_MAGIC = b"SFWT0001"
 class Tensor:
     """A numpy array plus an optional backward closure."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_pooled")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         data = np.asarray(data)
@@ -83,13 +66,6 @@ class Tensor:
         self.grad = None
         self._parents = parents if requires_grad else ()
         self._backward = backward if requires_grad else None
-        self._pooled = False
-
-    def __del__(self):
-        # a pooled output goes back to the pool unless a view or a caller
-        # still holds the array
-        if self._pooled and _holders(self) == _SOLE_HOLDERS:
-            POOL.give(self.data)
 
     @property
     def shape(self):
@@ -154,110 +130,14 @@ def astensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _holders(t: Tensor) -> tuple:
-    return sys.getrefcount(t.data), sys.getrefcount(t.data.base)
-
-
-# what `_holders` reports for a pool view that only its Tensor holds
-_SOLE_HOLDERS = _holders(Tensor(np.empty(1)[:1]))
-
-
-class BufferPool:
-    """Idle flat float64 buffers by size, for training steps to reuse.
-
-    `take` hands out a view of the given shape (contents undefined) on the
-    smallest idle buffer that holds it and is at most `FIT` times its size,
-    else on a new buffer; `give` takes back views nothing reads any more.
-    While the idle buffers exceed `max_bytes`, those of the least recently
-    given size are dropped.  `hits` and `misses` count the takes served from
-    the pool and the fresh allocations.
-    """
-
-    FIT = 1.5
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.idle: dict[int, list[np.ndarray]] = {}
-        self.sizes: list[int] = []   # the keys of `idle`, ascending
-        self.nbytes = 0
-        self.hits = 0
-        self.misses = 0
-
-    def take(self, shape) -> np.ndarray:
-        n = math.prod(shape)
-        i = bisect.bisect_left(self.sizes, n)
-        if i < len(self.sizes) and self.sizes[i] <= self.FIT * n:
-            self.hits += 1
-            buf = self._pop(self.sizes[i])
-        else:
-            self.misses += 1
-            buf = np.empty(n)
-        return buf[:n].reshape(shape)
-
-    def give(self, *views: np.ndarray):
-        for view in views:
-            buf = view.base
-            # the one allocation the garbage collector can run in, and so
-            # a `Tensor.__del__` that gives back too, comes before any change
-            new = [buf]
-            spare = self.idle.pop(buf.size, None)
-            if spare is None:
-                spare = new
-                bisect.insort(self.sizes, buf.size)
-            else:
-                spare.append(buf)
-            self.idle[buf.size] = spare   # now the most recently given size
-            self.nbytes += buf.nbytes
-        while self.nbytes > self.max_bytes:
-            self._pop(next(iter(self.idle)), oldest=True)
-
-    def _pop(self, size: int, oldest: bool = False) -> np.ndarray:
-        spare = self.idle[size]
-        buf = spare.pop(0 if oldest else -1)
-        if not spare:
-            del self.idle[size]
-            self.sizes.remove(size)
-        self.nbytes -= buf.nbytes
-        return buf
-
-    def counts(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses}
-
-
-# One ENCA step at minibatch 64 and N=100 keeps about 50 MB of buffers in
-# use at once, an INCA step at 60 trajectories about 15 MB.
-POOL_MAX_BYTES = 64 * 2**20
-POOL = BufferPool(POOL_MAX_BYTES)
-
-
-def _alloc(tracked: bool, dtype=float):
-    """The allocator of an op: the float64 pool while building a graph, else
-    numpy arrays of ``dtype``."""
-    if tracked:
-        return POOL.take
-    return lambda shape: np.empty(shape, dtype)
-
-
-def _accum(t: Tensor, g: np.ndarray, owned: bool = False):
-    """Add g to t's gradient; `owned` hands over g, a pool view, as well.
-
-    A new gradient is zeros + g, that is g + 0.0 (-0.0 becomes +0.0).  An
-    intermediate node's gradient is a pool view, which `backward` gives back
-    once the node's backward has run.
-    """
-    if t.requires_grad and t.grad is None and t._backward is not None:
-        if owned:
-            g += 0.0
-            t.grad = g
-        else:
-            t.grad = np.add(g, 0.0, out=POOL.take(t.data.shape))
-        return
+def _accum(t: Tensor, g: np.ndarray):
+    """Add g to t's gradient; a new gradient is g + 0.0, the bits of
+    zeros + g (-0.0 becomes +0.0)."""
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
-    if owned:
-        POOL.give(g)
+            t.grad = g + 0.0
+        else:
+            t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -275,12 +155,9 @@ def _tracked(*parents) -> bool:
     return any(p.requires_grad for p in parents)
 
 
-def _node(data, parents, backward, pooled=False) -> Tensor:
-    """A graph node; `pooled` marks data taken from the pool for this node."""
-    t = Tensor(data, requires_grad=_tracked(*parents), parents=tuple(parents),
-               backward=backward)
-    t._pooled = pooled and t.requires_grad
-    return t
+def _node(data, parents, backward) -> Tensor:
+    return Tensor(data, requires_grad=_tracked(*parents), parents=tuple(parents),
+                  backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +226,7 @@ def matmul(a, b):
     out_data = a.data @ b.data
 
     def bwd(g):
-        _accum(a, np.matmul(g, b.data.T, out=POOL.take(g.shape[:-1] + b.data.shape[:1])),
-               owned=True)
+        _accum(a, g @ b.data.T)
         _accum(b, a.data.reshape(-1, a.data.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
 
     return _node(out_data, (a, b), bwd)
@@ -398,13 +274,12 @@ def relu(a):
     # a NaN input stays NaN (and the caller's finite check raises) instead
     # of becoming 0.  The mask is needed only by the backward pass.
     a = astensor(a)
-    tracked = _tracked(a)
-    out_data = np.maximum(a.data, 0.0, out=_alloc(tracked, a.data.dtype)(a.data.shape))
+    out_data = np.maximum(a.data, 0.0)
 
     def bwd(g):
-        _accum(a, np.multiply(g, a.data > 0, out=POOL.take(g.shape)), owned=True)
+        _accum(a, g * (a.data > 0))
 
-    return _node(out_data, (a,), bwd, pooled=tracked)
+    return _node(out_data, (a,), bwd)
 
 
 def leaky_relu(a, slope: float = 0.3):
@@ -504,28 +379,28 @@ def _check_finite(x: np.ndarray, where: str):
         raise TrainingDivergedError(f"non-finite values in {where}")
 
 
-def _im2col(a: np.ndarray, k: int, alloc) -> np.ndarray:
+def _im2col(a: np.ndarray, k: int, dtype) -> np.ndarray:
     """(..., L, C) -> (prod(...) * (L-k+1), k*C) matrix of k-step windows.
 
     Row t of a trajectory is the contiguous run a[..., t:t+k, :], so its
     columns are ordered k major, C minor -- the order ``np.tensordot`` gives
-    the same windows -- and the matrix costs a single copy, into a buffer
-    from ``alloc``.
+    the same windows -- and the matrix costs a single copy, into an array
+    of ``dtype``.
     """
     length, chans = a.shape[-2:]
     rows = sliding_window_view(a.reshape(-1, length * chans), k * chans, axis=-1)
     rows = rows[:, ::chans]
-    cols = alloc((rows.shape[0] * rows.shape[1], k * chans))
+    cols = np.empty((rows.shape[0] * rows.shape[1], k * chans), dtype)
     np.copyto(cols.reshape(rows.shape), rows)
     return cols
 
 
 def _im2col_padded(g: np.ndarray, k: int, length: int) -> np.ndarray:
     """`_im2col` of g (..., L-k+1, C) padded with k-1 zero rows on either
-    side of the time axis, filled straight from g into a pool buffer."""
+    side of the time axis, filled straight from g."""
     chans = g.shape[-1]
     rows = g.reshape(-1, length - k + 1, chans)
-    cols = POOL.take((rows.shape[0] * length, k * chans))
+    cols = np.empty((rows.shape[0] * length, k * chans))
     win = cols.reshape(rows.shape[0], length, k, chans)
     for j in range(k):
         lo = k - 1 - j   # window row j of output t reads g[t - lo]
@@ -552,18 +427,13 @@ def conv1d_valid(x, kernel, bias=None):
     if bias is not None:
         bias = astensor(bias)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    tracked = _tracked(*parents)
-    alloc = _alloc(tracked, np.result_type(*(p.data for p in parents)))
-    cols = _im2col(x.data, k, alloc)
-    out_data = alloc(lead + (length - k + 1, c_out))
+    dtype = np.result_type(*(p.data for p in parents))
+    cols = _im2col(x.data, k, dtype)
+    out_data = np.empty(lead + (length - k + 1, c_out), dtype)
     np.dot(cols, kernel.data.reshape(k * c_in, c_out), out=out_data.reshape(-1, c_out))
-    if tracked:
-        POOL.give(cols)
     del cols
     if bias is not None:
-        # in place on a pool buffer; inference keeps numpy's allocation
-        # pattern, with which glibc holds less of the SABC encoder's memory
-        out_data = np.add(out_data, bias.data, out=out_data if tracked else None)
+        out_data = out_data + bias.data
     _check_finite(out_data, "conv1d")
 
     def bwd(g):
@@ -571,14 +441,13 @@ def conv1d_valid(x, kernel, bias=None):
             # dK[k, ci, co] = sum over batch,t of x[..., t+k, ci] g[..., t, co],
             # as np.tensordot of the (..., L-k+1, C_in, k) windows and g
             # computes it: one GEMM on the windows transposed to
-            # (C_in, k, ...) and copied, which here is a pooled buffer
+            # (C_in, k, ...) and copied
             win = sliding_window_view(x.data, k, axis=-2)
             nb = g.ndim - 1
-            at = POOL.take((c_in * k, g.size // c_out))
+            at = np.empty((c_in * k, g.size // c_out))
             np.copyto(at.reshape((c_in, k) + g.shape[:-1]),
                       win.transpose((nb, nb + 1) + tuple(range(nb))))
             dk = np.dot(at, g.reshape(-1, c_out))
-            POOL.give(at)
             _accum(kernel, dk.reshape(c_in, k, c_out).transpose(1, 0, 2))
         if x.requires_grad:
             # dx is the full convolution of g with the flipped kernel: an
@@ -586,14 +455,12 @@ def conv1d_valid(x, kernel, bias=None):
             cols = _im2col_padded(g, k, length)
             # krev[j, ci, co] = kernel[k-1-j, ci, co], as rows (j, co)
             krev = np.ascontiguousarray(kernel.data[::-1].transpose(0, 2, 1))
-            dx = POOL.take(lead + (length, c_in))
-            np.dot(cols, krev.reshape(k * c_out, c_in), out=dx.reshape(-1, c_in))
-            POOL.give(cols)
-            _accum(x, dx, owned=True)
+            dx = np.dot(cols, krev.reshape(k * c_out, c_in))
+            _accum(x, dx.reshape(lead + (length, c_in)))
         if bias is not None and bias.requires_grad:
             _accum(bias, _unbroadcast(g, bias.data.shape))
 
-    return _node(out_data, parents, bwd, pooled=tracked)
+    return _node(out_data, parents, bwd)
 
 
 def maxpool1d(x, window: int = 2):
@@ -610,8 +477,7 @@ def maxpool1d(x, window: int = 2):
     n_out = length // window
     windows = x.data.shape[:-2] + (n_out, window, x.data.shape[-1])
     shaped = x.data[..., : n_out * window, :].reshape(windows)
-    tracked = _tracked(x)
-    out_data = _alloc(tracked, x.data.dtype)(windows[:-2] + windows[-1:])
+    out_data = np.empty(windows[:-2] + windows[-1:], x.data.dtype)
     rows = [shaped[..., j, :] for j in range(window)]
     if window == 1:
         np.copyto(out_data, rows[0])
@@ -624,13 +490,12 @@ def maxpool1d(x, window: int = 2):
     def bwd(g):
         arg = shaped.argmax(axis=-2)  # first maximal index wins
         # zeros with g at each window's argmax, the odd trailing row included
-        gx = POOL.take(x.data.shape)
-        gx.fill(0.0)
+        gx = np.zeros(x.data.shape)
         np.put_along_axis(gx[..., : n_out * window, :].reshape(windows),
                           arg[..., None, :], g[..., None, :], axis=-2)
-        _accum(x, gx, owned=True)
+        _accum(x, gx)
 
-    return _node(out_data, (x,), bwd, pooled=tracked)
+    return _node(out_data, (x,), bwd)
 
 
 def global_avg_pool(x):
@@ -678,35 +543,31 @@ def _gate_affine(hidden: int):
     return scale, shift
 
 
-def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray,
-                  tracked: bool):
+def _lstm_forward(x: np.ndarray, wx: np.ndarray, wh: np.ndarray, b: np.ndarray):
     """LSTM over stacked directions: x (D, B, T, C) with weights (D, C, 4H),
     (D, H, 4H), (D, 4H); returns (T, D, B, H) and a BPTT cache.
 
     All D directions advance together each time step.  Gate layout along the
     4H axis is (input, forget, output, cell-candidate) so the three sigmoid
     gates form one contiguous block; initial states are zero.  The gates are
-    computed in place over their pre-activations, x @ wx + b is written
-    straight into them, and every array comes from the pool if ``tracked``;
-    the cache holds them until `_lstm_backward` consumes it.
+    computed in place over their pre-activations, and x @ wx + b is written
+    straight into them; the cache holds them until `_lstm_backward` consumes
+    it.
     """
-    alloc = _alloc(tracked)
     d, batch, n_steps, c_in = x.shape
     hidden = wh.shape[1]
     h3 = 3 * hidden
     scale, shift = _gate_affine(hidden)
-    xw = np.matmul(x.reshape(d, batch * n_steps, c_in), wx,
-                   out=alloc((d, batch * n_steps, 4 * hidden)))
-    gates = alloc((n_steps, d, batch, 4 * hidden))
+    xw = np.matmul(x.reshape(d, batch * n_steps, c_in), wx)
+    gates = np.empty((n_steps, d, batch, 4 * hidden))
     np.add(xw.reshape(d, batch, n_steps, 4 * hidden).transpose(2, 0, 1, 3),
            b[None, :, None, :], out=gates)
-    if tracked:
-        POOL.give(xw)
-    h_seq = alloc((n_steps + 1, d, batch, hidden))
-    c_seq = alloc((n_steps + 1, d, batch, hidden))
+    del xw
+    h_seq = np.empty((n_steps + 1, d, batch, hidden))
+    c_seq = np.empty((n_steps + 1, d, batch, hidden))
     h_seq[0] = 0.0
     c_seq[0] = 0.0
-    tanh_c = alloc((n_steps, d, batch, hidden))
+    tanh_c = np.empty((n_steps, d, batch, hidden))
     for t in range(n_steps):
         gate = gates[t]
         gate += h_seq[t] @ wh
@@ -732,7 +593,7 @@ def _lstm_backward(cache, d_out: np.ndarray):
     """BPTT for `_lstm_forward`; d_out is (T, D, B, H).
 
     Consumes the cache: each step's gate gradients overwrite its gates, and
-    d_x overwrites x.  Afterwards every cache array is free for reuse.
+    d_x overwrites x.
     """
     x, wx, wh, h_seq, c_seq, gates, tanh_c = cache
     d, batch, n_steps, c_in = x.shape
@@ -764,14 +625,13 @@ def _lstm_backward(cache, d_out: np.ndarray):
         sig *= one_minus
         d_wh += h_seq[t].transpose(0, 2, 1) @ dz
         dh_next = dz @ wh.transpose(0, 2, 1)
-    d_xw_flat = POOL.take((d, batch * n_steps, 4 * hidden))
+    d_xw_flat = np.empty((d, batch * n_steps, 4 * hidden))
     np.copyto(d_xw_flat.reshape(d, batch, n_steps, 4 * hidden),
               gates.transpose(1, 2, 0, 3))
     x_flat = x.reshape(d, batch * n_steps, c_in)
     d_wx = np.matmul(x_flat.transpose(0, 2, 1), d_xw_flat)
     d_b = d_xw_flat.sum(axis=1)
     d_x = np.matmul(d_xw_flat, wx.transpose(0, 2, 1), out=x_flat).reshape(x.shape)
-    POOL.give(d_xw_flat)
     return d_x, d_wx, d_wh, d_b
 
 
@@ -779,28 +639,23 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
     """Bidirectional LSTM: (B, T, C) -> (B, T, 2*units), zero initial states.
 
     The two directions have independent weights; per-step outputs are
-    concatenated (forward direction first).  While a graph is built, the
-    work buffers come from the pool and go back to it when this node's
-    backward has run, and the output is a pooled node output.
+    concatenated (forward direction first).
     """
     x = astensor(x)
     params = [astensor(p) for p in (wx_f, wh_f, b_f, wx_b, wh_b, b_b)]
     wxf, whf, bf, wxb, whb, bb = params
-    tracked = _tracked(x, *params)
     squeeze = x.data.ndim == 2
     xd = x.data[None] if squeeze else x.data
     batch, n_steps = xd.shape[:2]
-    x2 = _alloc(tracked)((2,) + xd.shape)
+    x2 = np.empty((2,) + xd.shape)
     x2[0] = xd
     x2[1] = xd[:, ::-1]
     out, cache = _lstm_forward(x2, np.stack([wxf.data, wxb.data]),
                                np.stack([whf.data, whb.data]),
-                               np.stack([bf.data, bb.data]), tracked)
+                               np.stack([bf.data, bb.data]))
     # out is (T, 2, B, H): forward half as-is, backward half time-flipped
     hidden = whf.data.shape[0]
-    out_data = np.concatenate([out[:, 0], out[::-1, 1]], axis=-1,
-                              out=_alloc(tracked)((n_steps, batch, 2 * hidden)))
-    out_data = out_data.transpose(1, 0, 2)
+    out_data = np.concatenate([out[:, 0], out[::-1, 1]], axis=-1).transpose(1, 0, 2)
     if squeeze:
         out_data = out_data[0]
     _check_finite(out_data, "bilstm")
@@ -808,22 +663,20 @@ def bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
     def bwd(g):
         gd = g[None] if squeeze else g
         gt = gd.transpose(1, 0, 2)  # (T, B, 2H)
-        d_out = POOL.take((n_steps, 2, batch, hidden))
+        d_out = np.empty((n_steps, 2, batch, hidden))
         d_out[:, 0] = gt[..., :hidden]
         d_out[:, 1] = gt[::-1, :, hidden:]
         dx2, dwx2, dwh2, db2 = _lstm_backward(cache, d_out)
-        dx = np.add(dx2[0], dx2[1][:, ::-1], out=POOL.take(dx2.shape[1:]))
-        _accum(x, dx[0] if squeeze else dx, owned=True)
+        dx = dx2[0] + dx2[1][:, ::-1]
+        _accum(x, dx[0] if squeeze else dx)
         _accum(wxf, dwx2[0])
         _accum(whf, dwh2[0])
         _accum(bf, db2[0])
         _accum(wxb, dwx2[1])
         _accum(whb, dwh2[1])
         _accum(bb, db2[1])
-        _, _, _, h_seq, c_seq, gates, tanh_c = cache
-        POOL.give(d_out, dx2, gates, h_seq, c_seq, tanh_c)
 
-    return _node(out_data, (x, *params), bwd, pooled=tracked)
+    return _node(out_data, (x, *params), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +687,7 @@ def backward(loss: Tensor):
     """Reverse-mode sweep from a scalar loss; frees the graph afterwards.
 
     Only leaves (tensors without a backward) keep their gradients; those of
-    intermediate nodes go back to the pool once they have been used.
+    intermediate nodes are dropped once they have been used.
     """
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
@@ -854,13 +707,10 @@ def backward(loss: Tensor):
         stack.append((node, True))
         for parent in node._parents:
             stack.append((parent, False))
-    loss.grad = POOL.take(loss.data.shape)
-    loss.grad.fill(1.0)
+    loss.grad = np.ones(loss.data.shape)
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
-            # no backward keeps its incoming gradient: it is free for reuse
-            POOL.give(node.grad)
             node.grad = None
     for node in topo:
         node._backward = None
@@ -977,6 +827,24 @@ def openblas():
     return None
 
 
+@functools.cache
+def keep_freed_memory() -> bool:
+    """Have glibc keep freed memory in the process: blocks up to 256 MiB come
+    from the heap instead of fresh mmaps, and the heap is trimmed only past
+    1 GiB free, so each training step reuses the pages of the step before
+    instead of faulting in zeroed ones.  The setting is process-wide and
+    stays in place.  True if both ``mallopt`` calls took effect; False
+    without a ``mallopt`` (not glibc)."""
+    import ctypes
+
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    # -3 is glibc's M_MMAP_THRESHOLD, -1 its M_TRIM_THRESHOLD
+    return mallopt(-3, 256 * 2**20) == 1 and mallopt(-1, 2**30) == 1
+
+
 @contextlib.contextmanager
 def limit_threads(n: int | None):
     """Run the block with numpy's OpenBLAS at ``n`` threads, then restore it.
@@ -1014,12 +882,12 @@ def train(store: ParameterStore, batch_losses, steps: int, lr: float,
     steps) and the log so far.
     The steps run with OpenBLAS at one thread, restored afterwards, so the
     weights do not depend on the machine's thread count.  ``meta`` gains
-    that thread record (``blas_threads``) and the buffer pool's takes and
-    fresh allocations of the call.
+    that thread record (``blas_threads``) and whether `keep_freed_memory`
+    took effect (``keep_freed_memory``).
     """
+    freed_kept = keep_freed_memory()
     log: list = []
     checkpoint = store.clone()
-    pool_start = POOL.counts()
     t_start = time.perf_counter()
     with limit_threads(1) as blas_threads:
         for step in range(steps):
@@ -1041,7 +909,7 @@ def train(store: ParameterStore, batch_losses, steps: int, lr: float,
             if (step + 1) % CHECKPOINT_EVERY == 0:
                 checkpoint = store.clone()
     meta["blas_threads"] = blas_threads
-    meta["buffer_pool"] = {k: n - pool_start[k] for k, n in POOL.counts().items()}
+    meta["keep_freed_memory"] = freed_kept
     return TrainResult(store=store, log=log, meta=meta)
 
 

@@ -385,14 +385,6 @@ class TestFloat32EncoderStatistics:
         spread = np.std(want, axis=0)
         assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-5 * spread)
 
-    def test_leaves_the_pool_untouched(self, weights):
-        from test_tensor import pool_snapshot
-
-        before = pool_snapshot()
-        x = np.random.default_rng(13).standard_normal((300, 100))
-        stats_fn_from_weights(weights)(x, 0.0)
-        assert pool_snapshot() == before
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])  # 1e39 overflows float32
     def test_non_finite_input_raises(self, weights, bad):
         from statforge.errors import TrainingDivergedError

@@ -680,6 +680,8 @@ class TestRunner:
     --out, and a seeded subcommand records its seed."""
 
     BAD_INI = "[nope]\na = 1\n"
+    ABC_SUFFSTATS = ["abc", "--model", "nlar1", "--observation", "OBS",
+                     "--stats", "suffstats", "--budget", "300", "--population", "30"]
     # (argv before --out, exit code, stderr fragment); OBS, SAMPLES, WEIGHTS
     # and BAD_INI stand for files the test writes
     CASES = {
@@ -699,15 +701,54 @@ class TestRunner:
                                "--config", "BAD_INI"], 2, "unknown section [nope]"),
         "suffstats_bad_config": (["suffstats", "--input", "OBS", "--config", "BAD_INI"],
                                  2, "unknown section [nope]"),
+        # --q lies in [1, statistic count]: 3 closed-form statistics, q=3 weights
+        "abc_suffstats_q_7": (ABC_SUFFSTATS + ["--q", "7"], 2,
+                              "--q = 7 is out of range; 1 to 3 is needed"),
+        "abc_suffstats_q_0": (ABC_SUFFSTATS + ["--q", "0"], 2,
+                              "--q = 0 is out of range; 1 to 3 is needed"),
+        "abc_suffstats_q_-1": (ABC_SUFFSTATS + ["--q", "-1"], 2,
+                               "--q = -1 is out of range; 1 to 3 is needed"),
+        "abc_weights_q_4": (["abc", "--model", "nlar1", "--observation", "OBS",
+                             "--weights", "WEIGHTS", "--q", "4"], 2,
+                            "--q = 4 is out of range; 1 to 3 is needed"),
+        "abc_velocity_-1": (ABC_SUFFSTATS + ["--velocity", "-1"], 2,
+                            "[abc]: velocity must be >= 0"),
+        "abc_ini_velocity_-1": (ABC_SUFFSTATS + ["--config", "ABC_INI"], 2,
+                                "[abc]: velocity must be >= 0"),
+        "abc_ini_proposal_scale_0": (ABC_SUFFSTATS + ["--config", "SCALE_INI"], 2,
+                                     "[abc]: proposal_scale must be > 0"),
+        "bifurcation_x0_abc": (["bifurcation", "--model", "nlar1", "--alpha-min", "4.2",
+                                "--alpha-max", "5.3", "--x0", "abc"], 2,
+                               "--x0: expected comma-separated floats, got 'abc'"),
+        "diagnose_bins_0": (["diagnose", "--distances", "DISTANCES", "--bins", "0"], 2,
+                            "--bins = 0 is out of range; at least 1 is needed"),
+        "diagnose_quantile_1.5": (["diagnose", "--distances", "DISTANCES",
+                                   "--quantile", "1.5"], 2,
+                                  "--quantile = 1.5 is out of range; (0, 1] is needed"),
+        "diagnose_quantile_0": (["diagnose", "--distances", "DISTANCES",
+                                 "--quantile", "0"], 2,
+                                "--quantile = 0.0 is out of range; (0, 1] is needed"),
+        "diagnose_regressors_0": (["diagnose", "--distances", "DISTANCES",
+                                   "--regressors", "0"], 2,
+                                  "--regressors = 0 is out of range; 1 to 3 is needed"),
+        "diagnose_regressors_4": (["diagnose", "--distances", "DISTANCES",
+                                   "--regressors", "4"], 2,
+                                  "--regressors = 4 is out of range; 1 to 3 is needed"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_failed_run_creates_no_out(self, tmp_path, obs_dir, capsys, case):
         files = {"OBS": obs_dir / "trajectory.csv", "SAMPLES": tmp_path / "samples.csv",
-                 "WEIGHTS": tmp_path / "w.sfwt", "BAD_INI": tmp_path / "bad.ini"}
+                 "DISTANCES": tmp_path / "distances.csv", "WEIGHTS": tmp_path / "w.sfwt",
+                 "BAD_INI": tmp_path / "bad.ini", "ABC_INI": tmp_path / "abc.ini",
+                 "SCALE_INI": tmp_path / "scale.ini"}
         files["SAMPLES"].write_text("alpha,sigma\n5.0,0.01\n5.1,0.02\n")
+        files["DISTANCES"].write_text("alpha,sigma,dist_1,dist_2,dist_3,dist_total\n"
+                                      "5.0,0.01,0.1,0.2,0.3,0.6\n5.1,0.02,0.2,0.1,0.1,0.4\n")
         save_weights(files["WEIGHTS"], init_encoder(3, np.random.default_rng(0)))
         files["BAD_INI"].write_text(self.BAD_INI)
+        files["ABC_INI"].write_text("[abc]\nvelocity = -1\n")
+        files["SCALE_INI"].write_text("[abc]\nproposal_scale = 0\n")
         argv, code, message = self.CASES[case]
         assert run([files.get(a, a) for a in argv] + ["--out", tmp_path / "out"]) == code
         err = capsys.readouterr().err
