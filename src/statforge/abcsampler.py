@@ -15,11 +15,17 @@ and accept uniform, ``stream(seed, NOISE_TAG, sweep)`` the simulation noise.
 Particle i uses row i of each block.  numpy fills a block in C order, so a
 shorter block is a prefix of a longer one: a particle's draws depend only on
 (seed, purpose, sweep, particle), not on which particles are candidates.
+
+``sabc_run`` draws each sweep's noise block on a worker thread during the
+sweep before (``_model_stat_sim``) and has glibc keep freed memory
+(``tensor.keep_freed_memory``) so that a sweep reuses the pages of the one
+before; neither changes a draw.
 """
 
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -39,6 +45,7 @@ from .models import (
     stream,
 )
 from .samples import SampleSet
+from .tensor import keep_freed_memory
 
 _INIT_SWEEP = 0
 # The statistics only enter a distance whose tolerance ends near 0.1 of a
@@ -172,15 +179,32 @@ def distance(s_sim, s_obs, std: Standardizer):
     return total, diff
 
 
-def _model_stat_sim(spec: ModelSpec, stats_fn, seed: int, n_steps: int):
+def _model_stat_sim(spec: ModelSpec, stats_fn, seed: int, n_steps: int,
+                    population: int, pool):
     """(thetas, sweep, ascending particle ids) -> stats; particle i simulates
-    with row i of the noise block of ``stream(seed, NOISE_TAG, sweep)``."""
+    with row i of the noise block of ``stream(seed, NOISE_TAG, sweep)``.
+
+    One (population, n_steps, c) block is kept.  Each call copies its rows
+    out and has ``pool``'s worker fill the block for the next sweep while
+    the candidates simulate; a call for any other sweep first refills it
+    here.  The worker runs only ``spec.noise_draw``, on a generator built on
+    this thread.  A C-order fill of all rows has a shorter fill's rows as its
+    prefix, so a particle's row does not depend on when the block was filled.
+    """
     x0 = spec.prior.x0
+    block = np.empty((population, n_steps, spec.noise_channels))
+    ahead, filling = None, None     # the sweep the worker fills the block for
 
     def sim(thetas: np.ndarray, sweep: int, particles: np.ndarray) -> np.ndarray:
-        block = draw_noise_batch(spec, int(particles[-1]) + 1, n_steps,
-                                 stream(seed, NOISE_TAG, sweep))
-        x = simulate_batch(spec, thetas, block[particles], x0=x0)
+        nonlocal ahead, filling
+        if filling is not None:
+            filling.result()
+        if ahead != sweep:
+            spec.noise_draw(stream(seed, NOISE_TAG, sweep), out=block)
+        noise = block[particles]
+        ahead = sweep + 1
+        filling = pool.submit(spec.noise_draw, stream(seed, NOISE_TAG, ahead), out=block)
+        x = simulate_batch(spec, thetas, noise, x0=x0)
         return stats_fn(x, x0)
 
     return sim
@@ -269,14 +293,20 @@ def sabc_run(model, prior: PriorSpec | None, stats_fn,
     """Annealed ABC against one observed trajectory of a benchmark model.
 
     ``model`` is a ModelSpec or a model id; a ``prior`` replaces its prior.
+    The manifest records whether ``keep_freed_memory`` took effect.
     """
+    freed_kept = keep_freed_memory()
     spec = model_spec(model, prior)
     if std is None:
         std = fit_standardizer(spec, stats_fn, m=max(1000, cfg.population),
                                seed=cfg.seed, n_steps=cfg.n_steps)
     s_obs = stats_fn(observation.x[None, :], observation.x0)[0]
-    stat_sim = _model_stat_sim(spec, stats_fn, cfg.seed, cfg.n_steps)
-    return sabc_core(stat_sim, spec.prior, s_obs, std, cfg)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        stat_sim = _model_stat_sim(spec, stats_fn, cfg.seed, cfg.n_steps,
+                                   cfg.population, pool)
+        sample, trace = sabc_core(stat_sim, spec.prior, s_obs, std, cfg)
+    sample.manifest["keep_freed_memory"] = freed_kept
+    return sample, trace
 
 
 def rejection_abc(model, prior: PriorSpec | None, stats_fn,

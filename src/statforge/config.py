@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import platform
 import time
 from dataclasses import fields, replace
@@ -147,21 +148,37 @@ def sha256_of_file(path) -> str:
     return digest.hexdigest()
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, nested ones included, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_manifest(out_dir, *, command: str, config: dict, seeds: dict,
                    input_hashes: dict | None = None, extra: dict | None = None,
                    started: float | None = None) -> Path:
-    """One manifest per output directory, covering every result-affecting constant."""
+    """One manifest per output directory, covering every result-affecting constant.
+
+    The file is strict JSON: a float that is NaN (undefined, such as the
+    R-hat of too short a chain) or infinite (unbounded) is written as null.
+    """
     from . import __version__
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    config, extra = _finite_or_null(config), _finite_or_null(extra or {})
     body = {
         "command": command,
         "package_version": __version__,
         "config": config,
         "seeds": seeds,
         "input_hashes": input_hashes or {},
-        "extra": extra or {},
+        "extra": extra,
         "host": {
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -172,9 +189,9 @@ def write_manifest(out_dir, *, command: str, config: dict, seeds: dict,
     }
     body["config_hash"] = hashlib.sha256(json.dumps(
         {"config": config, "seeds": seeds, "inputs": input_hashes or {}},
-        sort_keys=True, default=str).encode()).hexdigest()
+        sort_keys=True, default=str, allow_nan=False).encode()).hexdigest()
     path = out_dir / "manifest.json"
     with open(path, "w") as fh:
-        json.dump(body, fh, indent=2, sort_keys=True, default=str)
+        json.dump(body, fh, indent=2, sort_keys=True, default=str, allow_nan=False)
         fh.write("\n")
     return path

@@ -40,6 +40,10 @@ class EncaConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError("lr must be finite and > 0")
+        if self.c_x is not None and not (np.isfinite(self.c_x) and self.c_x > 0.0):
+            raise ValueError("c_x must be finite and > 0")
 
 
 def _init_bilstm(store: T.ParameterStore, prefix: str, c_in: int, units: int,

@@ -56,6 +56,8 @@ class IncaConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError("lr must be finite and > 0")
 
 
 def init_inca(model, q: int, rng: np.random.Generator) -> T.ParameterStore:

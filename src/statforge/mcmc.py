@@ -127,9 +127,12 @@ def metropolis_run(model_or_loglik, prior: PriorSpec | None,
         prop = theta + rng.standard_normal((k, p)) * scale
         u = rng.random(k)
         inbox = ((prop >= lower) & (prop <= upper)).all(axis=1)
-        llp = np.full(k, -np.inf)
-        if inbox.any():
-            llp[inbox] = loglik_rows(prop[inbox])
+        if inbox.all():
+            llp = loglik_rows(prop)
+        else:
+            llp = np.full(k, -np.inf)
+            if inbox.any():
+                llp[inbox] = loglik_rows(prop[inbox])
         acc = metropolis_accept(llp - ll, u)
         np.copyto(theta, prop, where=acc[:, None])
         np.copyto(ll, llp, where=acc)

@@ -24,8 +24,9 @@ what a minibatch is and which loss it gives.
 
 Every op allocates plain numpy arrays.  So that a training step reuses
 the memory of the step before instead of having the kernel zero fresh
-pages, `train` first calls `keep_freed_memory`, which has glibc keep freed
-blocks in the process (a process-wide setting; elsewhere it does nothing).
+pages, `train` (like `abcsampler.sabc_run`) first calls `keep_freed_memory`,
+which has glibc keep freed blocks in the process (a process-wide setting;
+elsewhere it does nothing).
 Training runs from one thread at a time, with numpy's OpenBLAS held at one
 thread (`limit_threads`) so that a fixed seed gives the same weights on any
 machine.
@@ -831,10 +832,11 @@ def openblas():
 def keep_freed_memory() -> bool:
     """Have glibc keep freed memory in the process: blocks up to 256 MiB come
     from the heap instead of fresh mmaps, and the heap is trimmed only past
-    1 GiB free, so each training step reuses the pages of the step before
-    instead of faulting in zeroed ones.  The setting is process-wide and
-    stays in place.  True if both ``mallopt`` calls took effect; False
-    without a ``mallopt`` (not glibc)."""
+    1 GiB free, so each training step (`train`) and each SABC sweep
+    (`abcsampler.sabc_run`) reuses the pages of the one before instead of
+    faulting in zeroed ones.  The setting is process-wide and stays in
+    place.  True if both ``mallopt`` calls took effect; False without a
+    ``mallopt`` (not glibc)."""
     import ctypes
 
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)

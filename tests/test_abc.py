@@ -1,8 +1,17 @@
+import functools
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import statforge
 from statforge.abcsampler import (
     NOISE_TAG,
     PROPOSAL_TAG,
@@ -251,14 +260,19 @@ class TestModelStatSim:
     # ascending, non-contiguous particle ids, as in-box candidates are
     PARTICLES = np.array([0, 2, 3, 7, 11, 40])
 
+    @pytest.fixture
+    def pool(self):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            yield pool
+
     @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
-    def test_noise_matches_per_particle_streams(self, model_id):
+    def test_noise_matches_per_particle_streams(self, model_id, pool):
         # reference: particle i simulates with row i of the sweep's noise block
         prior = prior_for(model_id)
         particles = self.PARTICLES
         thetas = sample_prior(prior, stream(8, 1), size=particles.size)
         seed, sweep, n = 29, 4, 60
-        sim = _model_stat_sim(model_spec(model_id), lambda x, x0: x, seed, n)
+        sim = _model_stat_sim(model_spec(model_id), lambda x, x0: x, seed, n, 50, pool)
         g = stream(seed, NOISE_TAG, sweep)
         shape = (particles[-1] + 1, n)
         block = g.random((*shape, 2)) if model_id == "dynamo" else g.standard_normal((*shape, 1))
@@ -266,15 +280,38 @@ class TestModelStatSim:
         assert np.array_equal(sim(thetas, sweep, particles), want)
 
     @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
-    def test_row_independent_of_other_candidates(self, model_id):
+    def test_row_independent_of_other_candidates(self, model_id, pool):
         # a particle's noise row is the same whether it is simulated among a
         # candidate subset or among all particles of the population
         pop, seed, sweep, n = 64, 3, 2, 40
         thetas = sample_prior(prior_for(model_id), stream(8, 2), size=pop)
-        sim = _model_stat_sim(model_spec(model_id), lambda x, x0: x, seed, n)
+        sim = _model_stat_sim(model_spec(model_id), lambda x, x0: x, seed, n, pop, pool)
         everyone = sim(thetas, sweep, np.arange(pop))
         subset = self.PARTICLES
         assert np.array_equal(sim(thetas[subset], sweep, subset), everyone[subset])
+
+    class LazyPool:
+        """Runs a submitted call only when its result is asked for, so a block
+        read without waiting still holds the sweep before's rows."""
+
+        def submit(self, fn, *args, **kwargs):
+            return SimpleNamespace(result=functools.partial(fn, *args, **kwargs))
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("model_id", ["nlar1", "dynamo"])
+    def test_skipped_sweep_draws_its_own_noise(self, model_id, lazy, pool):
+        # sweep 2 calls no sim (no candidates), so the block filled ahead for
+        # it must not reach sweep 3; sweep 4 then uses the block filled ahead
+        pool = self.LazyPool() if lazy else pool
+        spec, pop, seed, n = model_spec(model_id), 48, 5, 30
+        thetas = sample_prior(spec.prior, stream(8, 3), size=pop)
+        sim = _model_stat_sim(spec, lambda x, x0: x, seed, n, pop, pool)
+        for sweep, particles in ((1, self.PARTICLES), (3, np.array([1, 5, 6, 29, 47])),
+                                 (4, self.PARTICLES[1:])):
+            size = (pop, n, spec.noise_channels)
+            rows = spec.noise_draw(stream(seed, NOISE_TAG, sweep), size)[particles]
+            want = simulate_batch(spec, thetas[particles], rows, x0=spec.prior.x0)
+            assert np.array_equal(sim(thetas[particles], sweep, particles), want), sweep
 
 
 class TestRejectionAbc:
@@ -360,11 +397,61 @@ class TestStatsFns:
         assert sample.component_distances.shape == (100, 3)
         assert np.all(np.diff(record.tolerance_trace) <= 1e-15)
 
+    def test_no_thread_outlives_the_call(self):
+        obs = simulate_nlar1((5.3, 0.015), draw_bare_noise("nlar1", 100, 21))
+        cfg = AbcConfig(population=100, budget=1000, seed=2, n_steps=100)
+        before = threading.active_count()
+        sabc_run("nlar1", None, stats_fn_suffstats(), obs, cfg)
+        assert threading.active_count() == before
+        suffstats, calls, during = stats_fn_suffstats(), 0, None
+
+        def failing(x, x0):
+            # calls 1 and 2 fit the standardizer and encode the observation;
+            # call 3, the first population's, runs while sweep 1's noise fills
+            nonlocal calls, during
+            calls += 1
+            if calls == 3:
+                during = threading.active_count()
+                raise RuntimeError("statistics failed")
+            return suffstats(x, x0)
+
+        with pytest.raises(RuntimeError, match="statistics failed"):
+            sabc_run("nlar1", None, failing, obs, cfg)
+        assert during == before + 1
+        assert threading.active_count() == before
+
+
+# Two short SABC runs in a fresh interpreter; prints whether
+# `keep_freed_memory` took effect and the minor page faults of the second.
+WARM_SABC_FAULTS = """
+import resource
+from statforge.abcsampler import AbcConfig, sabc_run, stats_fn_suffstats
+from statforge.models import draw_bare_noise, simulate_nlar1
+obs = simulate_nlar1((5.3, 0.015), draw_bare_noise("nlar1", 200, 21))
+cfg = AbcConfig(population=1000, budget=5000, seed=1, n_steps=200)
+sabc_run("nlar1", None, stats_fn_suffstats(), obs, cfg)
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+kept = sabc_run("nlar1", None, stats_fn_suffstats(), obs, cfg)[0].manifest["keep_freed_memory"]
+print(kept, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+"""
+
+
+def test_warm_sabc_call_faults_few_pages():
+    # without kept freed memory the second call faults in 11,000 to 15,000
+    # fresh pages, with it almost none
+    env = {**os.environ, "PYTHONPATH": str(Path(statforge.__file__).parent.parent)}
+    out = subprocess.run([sys.executable, "-c", WARM_SABC_FAULTS], capture_output=True,
+                         text=True, env=env, check=True, timeout=300)
+    kept, faults = out.stdout.split()
+    if kept != "True":
+        pytest.skip("keep_freed_memory has no effect here (no glibc mallopt)")
+    assert int(faults) < 500
+
 
 class TestFloat32EncoderStatistics:
     """ABC's encoder statistics run in float32: float64 out, within 1e-5 of
-    each component's float64 spread, off the training buffer pool, and a
-    non-finite trajectory still raises."""
+    each component's float64 spread, and a non-finite trajectory still
+    raises."""
 
     @pytest.fixture
     def weights(self):

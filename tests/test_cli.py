@@ -14,7 +14,13 @@ from statforge.abcsampler import (
     stats_fn_from_weights,
 )
 from statforge.cli import main
-from statforge.config import KEYS, load_config, model_spec_from_config, sha256_of_file
+from statforge.config import (
+    KEYS,
+    load_config,
+    model_spec_from_config,
+    sha256_of_file,
+    write_manifest,
+)
 from statforge.enca import EncaConfig, train_enca
 from statforge.encoder import MIN_INPUT_LENGTH, encoder_subset, init_encoder
 from statforge.inca import IncaConfig
@@ -33,6 +39,11 @@ from statforge.tensor import load_weights, save_weights
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def reject_constant(name):
+    """``parse_constant`` of a strict JSON reader: NaN and Infinity are not JSON."""
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.fixture
@@ -569,6 +580,23 @@ class TestMcmcAndDiagnose:
         # each chain keeps every 10th of its 750 post-burn-in steps, chain by chain
         assert sample_set_from_csv((out / "samples.csv").read_text()).m == 8 * 75
 
+    def test_manifest_is_strict_json(self, tmp_path, obs_dir):
+        # 8 steps per chain keep 1 draw each: R-hat and ESS are undefined
+        out = tmp_path / "mcmc"
+        assert run(["mcmc", "--model", "nlar1", "--observation", obs_dir / "trajectory.csv",
+                    "--chain-length", "64", "--seed", "1", "--out", out]) == 0
+        text = (out / "manifest.json").read_text()
+        record = json.loads(text, parse_constant=reject_constant)["config"]["mcmc"]
+        assert record["rhat"] == record["ess_bulk"] == [None, None]
+
+    def test_unbounded_floats_are_null(self, tmp_path):
+        path = write_manifest(tmp_path, command="mcmc", seeds={},
+                              config={"rhat": [float("inf"), 1.0]},
+                              extra={"worst": (np.float64("-inf"), np.nan)})
+        body = json.loads(path.read_text(), parse_constant=reject_constant)
+        assert body["config"] == {"rhat": [None, 1.0]}
+        assert body["extra"] == {"worst": [None, None]}
+
     def test_mcmc_chain_length_not_divisible_is_usage_error(self, tmp_path, obs_dir, capsys):
         assert run(["mcmc", "--model", "nlar1", "--observation", obs_dir / "trajectory.csv",
                     "--chain-length", "4001", "--out", tmp_path / "mc"]) == 2
@@ -717,6 +745,19 @@ class TestRunner:
                                 "[abc]: velocity must be >= 0"),
         "abc_ini_proposal_scale_0": (ABC_SUFFSTATS + ["--config", "SCALE_INI"], 2,
                                      "[abc]: proposal_scale must be > 0"),
+        # the step size is finite and > 0, the reconstruction floor c_x too
+        "train_enca_lr_-1": (["train-enca", "--model", "nlar1", "--lr", "-1"], 2,
+                             "[enca]: lr must be finite and > 0"),
+        "train_enca_lr_nan": (["train-enca", "--model", "nlar1", "--lr", "nan"], 2,
+                              "[enca]: lr must be finite and > 0"),
+        "train_inca_lr_0": (["train-inca", "--model", "nlar1", "--lr", "0"], 2,
+                            "[inca]: lr must be finite and > 0"),
+        "train_inca_ini_lr_0": (["train-inca", "--model", "nlar1", "--config", "LR_INI"], 2,
+                                "[inca]: lr must be finite and > 0"),
+        "train_enca_c_x_-1": (["train-enca", "--model", "nlar1", "--c-x", "-1"], 2,
+                              "[enca]: c_x must be finite and > 0"),
+        "train_enca_c_x_0": (["train-enca", "--model", "nlar1", "--c-x", "0"], 2,
+                             "[enca]: c_x must be finite and > 0"),
         "bifurcation_x0_abc": (["bifurcation", "--model", "nlar1", "--alpha-min", "4.2",
                                 "--alpha-max", "5.3", "--x0", "abc"], 2,
                                "--x0: expected comma-separated floats, got 'abc'"),
@@ -741,7 +782,7 @@ class TestRunner:
         files = {"OBS": obs_dir / "trajectory.csv", "SAMPLES": tmp_path / "samples.csv",
                  "DISTANCES": tmp_path / "distances.csv", "WEIGHTS": tmp_path / "w.sfwt",
                  "BAD_INI": tmp_path / "bad.ini", "ABC_INI": tmp_path / "abc.ini",
-                 "SCALE_INI": tmp_path / "scale.ini"}
+                 "SCALE_INI": tmp_path / "scale.ini", "LR_INI": tmp_path / "lr.ini"}
         files["SAMPLES"].write_text("alpha,sigma\n5.0,0.01\n5.1,0.02\n")
         files["DISTANCES"].write_text("alpha,sigma,dist_1,dist_2,dist_3,dist_total\n"
                                       "5.0,0.01,0.1,0.2,0.3,0.6\n5.1,0.02,0.2,0.1,0.1,0.4\n")
@@ -749,6 +790,7 @@ class TestRunner:
         files["BAD_INI"].write_text(self.BAD_INI)
         files["ABC_INI"].write_text("[abc]\nvelocity = -1\n")
         files["SCALE_INI"].write_text("[abc]\nproposal_scale = 0\n")
+        files["LR_INI"].write_text("[inca]\nlr = 0\n")
         argv, code, message = self.CASES[case]
         assert run([files.get(a, a) for a in argv] + ["--out", tmp_path / "out"]) == code
         err = capsys.readouterr().err
